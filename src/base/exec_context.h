@@ -79,6 +79,8 @@ struct ProgressSnapshot {
   /// whose dual zero-extension closed (lazy UNSAT verdicts).
   uint64_t blocking_constraints = 0;
   uint64_t certificate_closures = 0;
+
+  bool operator==(const ProgressSnapshot&) const = default;
 };
 
 /// A structured description of which limit tripped, where, and at what

@@ -25,6 +25,35 @@ ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
   return preamble;
 }
 
+bool IsPrunedCompound(const Schema& schema, const ExpansionPreamble& preamble,
+                      const CompoundClass& compound) {
+  const std::vector<ClassId>& members = compound.members();
+  if (members.empty()) return false;
+  const int num_classes = schema.num_classes();
+  const std::vector<int>& cluster_of = preamble.partition.cluster_of;
+  for (ClassId c : members) {
+    if (c < 0 || c >= num_classes) return false;
+    if (cluster_of[c] != cluster_of[members.front()]) return false;
+  }
+  const PairTables& tables = preamble.tables;
+  for (size_t i = 0; i < members.size(); ++i) {
+    const ClassId c = members[i];
+    // CanIncludeClass: self-disjointness and disjointness from the other
+    // included members (symmetric, so each pair is checked once).
+    for (size_t j = i; j < members.size(); ++j) {
+      if (tables.AreDisjoint(c, members[j])) return false;
+    }
+    // CanIncludeClass (superclass decided out) and CanExcludeClass
+    // (included subclass): a superclass in the cluster must be a member.
+    for (ClassId super : tables.SuperclassesOf(c)) {
+      if (cluster_of[super] == cluster_of[c] && !compound.Contains(super)) {
+        return false;
+      }
+    }
+  }
+  return compound.IsConsistent(schema);
+}
+
 LazyCompoundStream::LazyCompoundStream(const Schema& schema,
                                        const PairTables& tables,
                                        const std::vector<ClassId>& cluster,

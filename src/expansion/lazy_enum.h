@@ -30,6 +30,18 @@ struct ExpansionPreamble {
 ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
                                          const ExpansionOptions& options);
 
+/// True when `compound` is a compound class of the full pruned expansion
+/// that `preamble` was built for: non-empty, inside one cluster, accepted
+/// by the pruned decision tree and consistent with `schema`. Acceptance is
+/// checked on the final subset — no member self-disjoint, no two members
+/// disjoint, no recorded superclass of a member left out of the member's
+/// cluster — which is exactly what the include/exclude predicates of the
+/// DFS enforce in any decision order. Lets a lazy run reuse compounds
+/// streamed from another schema (a session's base schema, for a probe's
+/// aux-extended one) only after confirming they belong to this one.
+bool IsPrunedCompound(const Schema& schema, const ExpansionPreamble& preamble,
+                      const CompoundClass& compound);
+
 /// A resumable stream of the consistent compound classes containing one
 /// pinned class, in a fixed canonical order (the pruned DFS over the
 /// pinned class's cluster, with the pinned class decided first and
@@ -105,6 +117,19 @@ class RefinementLedger {
     compounds.reserve(materialized_.size());
     for (const std::vector<ClassId>& members : materialized_) {
       compounds.push_back(CompoundClass(members));
+    }
+    return compounds;
+  }
+
+  /// The materialized compounds `base` does not hold, in canonical order:
+  /// what a run resuming from a frozen base must add to it.
+  std::vector<CompoundClass> CompoundsNotIn(
+      const RefinementLedger& base) const {
+    std::vector<CompoundClass> compounds;
+    for (const std::vector<ClassId>& members : materialized_) {
+      if (base.materialized_.count(members) == 0) {
+        compounds.push_back(CompoundClass(members));
+      }
     }
     return compounds;
   }

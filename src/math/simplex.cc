@@ -1157,6 +1157,19 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
   return result;
 }
 
+void SimplexSnapshot::ShrinkToFit() {
+  for (SparseRow& row : rows) row.ShrinkToFit();
+  rows.shrink_to_fit();
+  rhs.shrink_to_fit();
+  basis.shrink_to_fit();
+  is_artificial.shrink_to_fit();
+  init_basic.shrink_to_fit();
+  row_flipped.shrink_to_fit();
+  col_of_var.shrink_to_fit();
+  var_of_col.shrink_to_fit();
+  zero_checked.shrink_to_fit();
+}
+
 Status ValidateSnapshotShape(const SimplexSnapshot& snapshot,
                              const LinearSystem& system) {
   auto fail = [](std::string what) {

@@ -138,6 +138,12 @@ struct SimplexSnapshot {
   size_t num_constraints = 0;
 
   int num_variables() const { return static_cast<int>(col_of_var.size()); }
+
+  /// Releases the spare capacity a solve leaves in the row storage and
+  /// the per-row vectors. Call once where a snapshot becomes long-lived
+  /// state (a session's solved base), not on per-probe working copies:
+  /// copies are already exact-size, and a resume regrows what it needs.
+  void ShrinkToFit();
 };
 
 /// Structural-coherence check of a (deserialized) snapshot against the

@@ -32,6 +32,9 @@ class SparseRow {
 
   void clear() { entries_.clear(); }
   void reserve(size_t n) { entries_.reserve(n); }
+  /// Drops the merge headroom SubtractScaled leaves behind (its buffer is
+  /// sized |row| + |pivot row|). For rows that outlive their solve.
+  void ShrinkToFit() { entries_.shrink_to_fit(); }
 
   /// Pointer to the value at `col`, or null when the cell is zero.
   const Scalar* Find(int col) const {

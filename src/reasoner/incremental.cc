@@ -128,10 +128,12 @@ Status IncrementalSession::EnsureBase() {
   // every memoized answer and the frozen base state are stale.
   base_ready_ = false;
   base_solved_.store(false, std::memory_order_release);
+  lazy_base_ready_.store(false, std::memory_order_release);
   memo_.clear();
   base_expansion_.reset();
   analysis_.reset();
   psi_base_.reset();
+  lazy_base_.reset();
   schema_analysis_.reset();
   if (options_.lazy_expansion) {
     // Lazy session: defer the (possibly exponential) full expansion and
@@ -193,6 +195,29 @@ Status IncrementalSession::EnsureSolvedBaseLocked() {
   return Status::Ok();
 }
 
+Status IncrementalSession::EnsureLazyBase() {
+  if (lazy_base_ready_.load(std::memory_order_acquire)) return Status::Ok();
+  std::lock_guard<std::mutex> lock(base_build_mutex_);
+  if (lazy_base_ready_.load(std::memory_order_acquire)) return Status::Ok();
+  if (options_.expansion.strategy == ExpansionStrategy::kPruned) {
+    CAR_ASSIGN_OR_RETURN(
+        LazyBase base,
+        BuildLazySessionBase(*schema_, options_.expansion, options_.solver,
+                             options_.lazy));
+    lazy_compounds_materialized_.fetch_add(base.ledger.size(),
+                                           std::memory_order_relaxed);
+    scalar_promotions_.fetch_add(base.psi->base_scalar_promotions,
+                                 std::memory_order_relaxed);
+    MaxRelaxed(&peak_tableau_nonzeros_, base.psi->base_tableau_nonzeros);
+    MaxRelaxed(&peak_tableau_cells_, base.psi->base_tableau_cells);
+    lazy_base_ = std::move(base);
+    ++lazy_base_builds_;
+  }
+  // Publishes lazy_base_ to racing readers in the fast path above.
+  lazy_base_ready_.store(true, std::memory_order_release);
+  return Status::Ok();
+}
+
 Result<bool> IncrementalSession::AuxSatisfiable(
     const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
     const std::vector<ParticipationSpec>& participations) {
@@ -243,16 +268,21 @@ Result<bool> IncrementalSession::AuxSatisfiable(
   if (options_.lazy_expansion) {
     // Lazy probe: try to decide the auxiliary class over a small
     // materialized subset before touching — or, in a deferred session,
-    // even building — the full base expansion. Conclusive answers are
-    // bit-identical to the eager path by the lazy engine's contract.
+    // even building — the full base expansion, resuming from the
+    // session's partial base. Conclusive answers are bit-identical to the
+    // eager path by the lazy engine's contract.
+    CAR_RETURN_IF_ERROR(EnsureLazyBase());
     CAR_ASSIGN_OR_RETURN(
         LazyOutcome lazy,
         RunLazyExpansion(extended, {aux}, /*analysis=*/nullptr,
-                         options_.expansion, options_.solver, options_.lazy));
+                         options_.expansion, options_.solver, options_.lazy,
+                         lazy_base_.has_value() ? &*lazy_base_ : nullptr));
     lazy_refinement_rounds_.fetch_add(lazy.refinement_rounds,
                                       std::memory_order_relaxed);
-    lazy_compounds_materialized_.fetch_add(lazy.compounds_materialized,
-                                           std::memory_order_relaxed);
+    lazy_compounds_materialized_.fetch_add(
+        lazy.compounds_materialized - lazy.base_compounds,
+        std::memory_order_relaxed);
+    warm_starts_.fetch_add(lazy.warm_starts, std::memory_order_relaxed);
     lazy_blocking_constraints_.fetch_add(lazy.blocking_constraints,
                                          std::memory_order_relaxed);
     lazy_certificate_closures_.fetch_add(lazy.certificate_closures,
@@ -549,6 +579,17 @@ uint64_t IncrementalSession::EstimatedMemoryBytes() const {
   if (psi_base_.has_value()) {
     bytes += psi_base_->base_tableau_nonzeros * kPerTableauNonzero;
   }
+  if (lazy_base_.has_value()) {
+    // The ledger keeps its own copy of every member set.
+    bytes += (lazy_base_->ledger.size() +
+              lazy_base_->expansion.compound_classes.size()) *
+             kPerCompoundClass;
+    bytes += lazy_base_->expansion.compound_attributes.size() *
+             kPerCompoundEdge;
+    bytes += lazy_base_->expansion.compound_relations.size() *
+             kPerCompoundEdge;
+    bytes += lazy_base_->psi->base_tableau_nonzeros * kPerTableauNonzero;
+  }
   for (const auto& [key, answer] : memo_) {
     (void)answer;
     bytes += key.size() + kPerMemoEntry;
@@ -623,10 +664,12 @@ Status IncrementalSession::Deserialize(std::string_view bytes) {
   // corrupted warm state.
   base_ready_ = false;
   base_solved_.store(false, std::memory_order_release);
+  lazy_base_ready_.store(false, std::memory_order_release);
   memo_.clear();
   base_expansion_.reset();
   analysis_.reset();
   psi_base_.reset();
+  lazy_base_.reset();
   schema_analysis_.reset();
 
   snapshot.expansion.schema = schema_;
@@ -694,6 +737,7 @@ IncrementalStats IncrementalSession::stats() const {
   stats.memo_misses = memo_misses_;
   stats.base_builds = base_builds_;
   stats.base_restores = base_restores_;
+  stats.lazy_base_builds = lazy_base_builds_;
   stats.probes = probes_.load(std::memory_order_relaxed);
   stats.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   stats.fallbacks = fallbacks_.load(std::memory_order_relaxed);

@@ -36,8 +36,9 @@ struct IncrementalStats {
   uint64_t memo_misses = 0;
   /// Auxiliary-class satisfiability probes actually solved.
   uint64_t probes = 0;
-  /// Warm-started LP solves across all incremental probes (one per
-  /// fixpoint round of each probe).
+  /// Warm-started LP solves across all probes, one per fixpoint round:
+  /// the delta path's rounds and the lazy probes' rounds resumed from the
+  /// session's partial base (or their own seed) alike.
   uint64_t warm_starts = 0;
   /// Probes that fell back to a from-scratch expansion + solve (delta
   /// extension declined with kFailedPrecondition, or the base analysis
@@ -46,8 +47,9 @@ struct IncrementalStats {
   /// Cluster reuse across all delta extensions.
   uint64_t clusters_reused = 0;
   uint64_t clusters_reenumerated = 0;
-  /// Base expansions + snapshot solves performed: 1, plus one per
-  /// observed schema-fingerprint change.
+  /// Full base expansions + snapshot solves performed: 1, plus one per
+  /// observed schema-fingerprint change (lazy sessions: only once a probe
+  /// needed the delta path).
   uint64_t base_builds = 0;
   /// Base states restored from a persisted snapshot (Deserialize)
   /// instead of solved. Disjoint from base_builds: a restored base pays
@@ -57,9 +59,14 @@ struct IncrementalStats {
   /// (options.lazy_expansion) before touching — or even building — the
   /// full base expansion.
   uint64_t lazy_hits = 0;
-  /// Refinement rounds and compound classes materialized across all lazy
-  /// probes (conclusive or not). Deterministic: the lazy engine is
-  /// serial per probe and the sums are commutative.
+  /// Session-level partial bases built for the lazy probes (lazy
+  /// sessions, pruned strategy): 1 on the first lazy probe, plus one per
+  /// observed schema-fingerprint change. Disjoint from base_builds.
+  uint64_t lazy_base_builds = 0;
+  /// Refinement rounds across all lazy probes, and compound classes
+  /// materialized by the partial bases plus what each probe added beyond
+  /// its base (conclusive or not). Deterministic: the base is built once,
+  /// the lazy engine is serial per probe and the sums are commutative.
   uint64_t lazy_refinement_rounds = 0;
   uint64_t lazy_compounds_materialized = 0;
   /// UNSAT-side refinement across all lazy probes: Farkas certificates
@@ -80,6 +87,8 @@ struct IncrementalStats {
   /// sparse kernel exploited. Maxima, so schedule-independent too.
   uint64_t peak_tableau_nonzeros = 0;
   uint64_t peak_tableau_cells = 0;
+
+  bool operator==(const IncrementalStats&) const = default;
 };
 
 /// An incremental implication-query session over one (mutable) schema.
@@ -91,6 +100,12 @@ struct IncrementalStats {
 /// restricted to compounds that mention the probe's auxiliary class and
 /// (b) warm-started LP re-solves resumed from the base snapshot. A memo
 /// keyed by a canonical form of the query makes repeats O(1).
+///
+/// Under options.lazy_expansion the full base is deferred until a probe
+/// needs it; lazy probes instead resume from a session-level PARTIAL
+/// base (BuildLazySessionBase: a few compounds per class and their solved
+/// Ψ snapshot), built on the first lazy probe and shared read-only by
+/// every later one, so a probe solves only what it adds beyond it.
 ///
 /// Contract: answers (including error statuses for malformed queries)
 /// are bit-identical to Reasoner::RunImplicationBatch on the same
@@ -140,10 +155,11 @@ class IncrementalSession {
   void set_exec(ExecContext* exec);
 
   /// Deterministic order-of-magnitude estimate of the resident bytes of
-  /// the warm state (base expansion, Ψ snapshot, memo, analysis). Used to
-  /// rank sessions for memory-budget eviction, where only the relative
-  /// costs matter; identical for every thread count (all inputs are
-  /// schedule-independent counts and maxima).
+  /// the warm state (base expansion, Ψ snapshot, the lazy probes' partial
+  /// base, memo, analysis). Used to rank sessions for memory-budget
+  /// eviction, where only the relative costs matter; identical for every
+  /// thread count (all inputs are schedule-independent counts and
+  /// maxima).
   uint64_t EstimatedMemoryBytes() const;
 
   // --- Persistence (src/persist) -----------------------------------------
@@ -198,6 +214,13 @@ class IncrementalSession {
   /// The build itself; caller holds base_build_mutex_ or is serial.
   Status EnsureSolvedBaseLocked();
 
+  /// Builds the lazy probes' partial base on first use (same
+  /// double-checked locking as EnsureSolvedBase). Its content depends
+  /// only on the schema, so whichever probe worker gets here first builds
+  /// the same base. A failed build (a governor trip) publishes nothing;
+  /// the next call builds again.
+  Status EnsureLazyBase();
+
   /// Evaluates one query without consulting the memo. Mirrors the
   /// decision structure of the corresponding Reasoner::Implies* method
   /// exactly (validation order included), with the auxiliary-class
@@ -228,6 +251,11 @@ class IncrementalSession {
   /// strategy, analyzable clusters); otherwise every probe falls back.
   std::optional<ExpansionBaseAnalysis> analysis_;
   std::optional<IncrementalPsiBase> psi_base_;
+  /// The lazy probes' partial base, valid iff lazy_base_ready_ (which a
+  /// non-pruned strategy also sets, leaving it empty: the lazy engine is
+  /// inconclusive there anyway). Rebuilt on fingerprint change.
+  std::atomic<bool> lazy_base_ready_{false};
+  std::optional<LazyBase> lazy_base_;
   /// Static analysis of the base schema backing the prefilter tiers
   /// (options.prefilter); rebuilt with the base on fingerprint change.
   std::optional<SchemaAnalysis> schema_analysis_;
@@ -247,6 +275,8 @@ class IncrementalSession {
   // runs from a probe worker (lazy sessions), serially otherwise.
   uint64_t base_builds_ = 0;
   uint64_t base_restores_ = 0;
+  // Bumped under base_build_mutex_, like base_builds_.
+  uint64_t lazy_base_builds_ = 0;
   std::atomic<uint64_t> lazy_hits_{0};
   std::atomic<uint64_t> lazy_refinement_rounds_{0};
   std::atomic<uint64_t> lazy_compounds_materialized_{0};

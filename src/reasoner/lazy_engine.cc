@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <tuple>
 #include <utility>
 
@@ -152,13 +151,54 @@ InfeasibilityCertificate ReseatCertificate(const Expansion& partial,
   return nu;
 }
 
+/// Advances `stream` by up to `batch` compounds into `ledger`, counting
+/// the ones it had not materialized yet.
+Status AdvanceInto(LazyCompoundStream* stream, size_t batch, ExecContext* exec,
+                   RefinementLedger* ledger) {
+  return stream->Advance(batch, exec, [&](const CompoundClass& compound) {
+    if (ledger->Add(compound) && exec != nullptr) {
+      exec->CountCompoundsMaterialized(1);
+    }
+  });
+}
+
 }  // namespace
+
+Result<LazyBase> BuildLazySessionBase(
+    const Schema& schema, const ExpansionOptions& expansion_options,
+    const PsiSolverOptions& solver_options,
+    const LazyExpansionOptions& lazy_options) {
+  CAR_RETURN_IF_ERROR(schema.Validate());
+  if (expansion_options.strategy != ExpansionStrategy::kPruned) {
+    return FailedPrecondition(
+        "lazy session bases require the pruned expansion strategy");
+  }
+  ExecContext* exec = expansion_options.exec;
+  CAR_RETURN_IF_ERROR(GovCheck(exec, "expansion"));
+  const ExpansionPreamble preamble =
+      BuildExpansionPreamble(schema, expansion_options);
+  LazyBase base;
+  for (ClassId c = 0; c < schema.num_classes(); ++c) {
+    const int cluster = preamble.partition.cluster_of[c];
+    LazyCompoundStream stream(schema, preamble.tables,
+                              preamble.partition.clusters[cluster], c);
+    CAR_RETURN_IF_ERROR(AdvanceInto(&stream, lazy_options.batch_per_class,
+                                    exec, &base.ledger));
+  }
+  base.ledger.SealRound();
+  CAR_ASSIGN_OR_RETURN(
+      base.expansion,
+      AssembleExpansion(schema, base.ledger.Compounds(), expansion_options));
+  CAR_ASSIGN_OR_RETURN(base.psi,
+                       PrepareIncrementalPsi(base.expansion, solver_options));
+  return base;
+}
 
 Result<LazyOutcome> RunLazyExpansion(
     const Schema& schema, const std::vector<ClassId>& targets,
     const SchemaAnalysis* analysis, const ExpansionOptions& expansion_options,
     const PsiSolverOptions& solver_options,
-    const LazyExpansionOptions& lazy_options) {
+    const LazyExpansionOptions& lazy_options, const LazyBase* base) {
   // Mirror the eager path's first failure mode (BuildExpansion validates
   // too) so routing through the lazy engine never changes error statuses.
   CAR_RETURN_IF_ERROR(schema.Validate());
@@ -200,6 +240,23 @@ Result<LazyOutcome> RunLazyExpansion(
   const ExpansionPreamble preamble =
       BuildExpansionPreamble(schema, expansion_options);
 
+  // A caller's base is resumed only when every compound of it belongs to
+  // this schema's pruned expansion — the base-prefix condition
+  // ExtendExpansionWithAuxClass checks for the eager base. Otherwise the
+  // run seeds itself, exactly as without one.
+  if (base != nullptr) {
+    const std::vector<CompoundClass>& compounds =
+        base->expansion.compound_classes;
+    // Index 0 is the empty compound every assembled expansion starts with.
+    for (size_t i = 1; i < compounds.size(); ++i) {
+      if (!IsPrunedCompound(schema, preamble, compounds[i])) {
+        base = nullptr;
+        break;
+      }
+    }
+  }
+  if (base != nullptr) out.base_compounds = base->ledger.size();
+
   // One stream per class in the dependency closure of the open targets.
   // Certificate-driven refinement may open further streams later, so the
   // closure list grows with them.
@@ -211,15 +268,10 @@ Result<LazyOutcome> RunLazyExpansion(
         schema, preamble.tables, preamble.partition.clusters[cluster], c);
   }
 
-  RefinementLedger ledger;
+  RefinementLedger ledger =
+      base != nullptr ? base->ledger : RefinementLedger();
   auto advance = [&](ClassId c, size_t batch) -> Status {
-    return stream_of[c]->Advance(batch, exec,
-                                 [&](const CompoundClass& compound) {
-                                   if (ledger.Add(compound) &&
-                                       exec != nullptr) {
-                                     exec->CountCompoundsMaterialized(1);
-                                   }
-                                 });
+    return AdvanceInto(stream_of[c].get(), batch, exec, &ledger);
   };
 
   // --- Seed.
@@ -242,19 +294,26 @@ Result<LazyOutcome> RunLazyExpansion(
     return out;
   }
 
-  CAR_ASSIGN_OR_RETURN(
-      Expansion seed,
-      AssembleExpansion(schema, ledger.Compounds(), expansion_options));
-  const size_t num_seed_cc = seed.compound_classes.size();
-  std::set<std::vector<ClassId>> seed_members;
-  for (const CompoundClass& compound : seed.compound_classes) {
-    seed_members.insert(compound.members());
+  // Without a base to resume, this run's seed becomes its frozen base.
+  std::optional<LazyBase> own_base;
+  if (base == nullptr) {
+    own_base.emplace();
+    own_base->ledger = ledger;
+    CAR_ASSIGN_OR_RETURN(
+        own_base->expansion,
+        AssembleExpansion(schema, ledger.Compounds(), expansion_options));
+    base = &*own_base;
   }
+  const Expansion& seed = base->expansion;
+  const size_t num_seed_cc = seed.compound_classes.size();
 
-  // The warm-start base: built on first contact with a constrained
-  // compound; rounds of an all-unconstrained run (dense tautology
-  // clusters) never pay an LP at all.
-  std::optional<IncrementalPsiBase> psi_base;
+  // The warm-start snapshot: the base's own when it carries one,
+  // otherwise solved here on first contact with a constrained compound —
+  // rounds of an all-unconstrained run (dense tautology clusters) never
+  // pay an LP at all.
+  const IncrementalPsiBase* psi_base =
+      base->psi.has_value() ? &*base->psi : nullptr;
+  std::optional<IncrementalPsiBase> own_psi;
 
   // UNSAT-side state: one learned blocking constraint per probed target,
   // and the predicate the closure checker (and probe gating) runs on —
@@ -274,13 +333,9 @@ Result<LazyOutcome> RunLazyExpansion(
       if (exec != nullptr) exec->CountRefinementRounds(1);
     }
 
-    // Cumulative refinement delta against the frozen seed.
+    // Cumulative delta against the frozen base.
     ExpansionDelta delta;
-    for (const CompoundClass& compound : ledger.Compounds()) {
-      if (seed_members.count(compound.members()) == 0) {
-        delta.new_compound_classes.push_back(compound);
-      }
-    }
+    delta.new_compound_classes = ledger.CompoundsNotIn(base->ledger);
     if (delta.HasNewCompounds()) {
       CAR_RETURN_IF_ERROR(
           PopulateDeltaExtensions(schema, seed, expansion_options, &delta));
@@ -322,14 +377,16 @@ Result<LazyOutcome> RunLazyExpansion(
       partial.cr_active.assign(global_cr.size(), true);
       partial.cr_value.assign(global_cr.size(), Rational());
     } else {
-      if (!psi_base.has_value()) {
-        CAR_ASSIGN_OR_RETURN(psi_base,
+      if (psi_base == nullptr) {
+        CAR_ASSIGN_OR_RETURN(own_psi,
                              PrepareIncrementalPsi(seed, solver_options));
+        psi_base = &*own_psi;
         ++out.lp_solves;
       }
       CAR_ASSIGN_OR_RETURN(
           partial, SolvePsiOverDelta(seed, *psi_base, delta, solver_options));
       out.lp_solves += partial.lp_solves;
+      out.warm_starts += partial.lp_solves;
       out.fixpoint_rounds += partial.fixpoint_rounds;
     }
 
@@ -460,7 +517,8 @@ Result<LazyOutcome> RunLazyExpansion(
 
     // Refine or give up.
     if (round + 1 >= lazy_options.max_rounds ||
-        ledger.size() >= lazy_options.max_materialized) {
+        ledger.size() - out.base_compounds >=
+            lazy_options.max_materialized) {
       out.compounds_materialized = ledger.size();
       return out;  // Inconclusive.
     }

@@ -148,6 +148,9 @@ Result<IncrementalPsiBase> PrepareIncrementalPsi(
   base.base_scalar_promotions = lp.scalar_promotions;
   base.base_tableau_nonzeros = lp.tableau_nonzeros;
   base.base_tableau_cells = lp.tableau_cells;
+  // The base outlives its solve (session state, or a lazy run's frozen
+  // seed); the pivots' merge headroom would otherwise stay resident.
+  base.snapshot.ShrinkToFit();
   return base;
 }
 

@@ -148,7 +148,8 @@ Result<IncrementalPsiBase> BuildIncrementalPsiBaseStructure(
 
 /// Builds the incremental base state: the structure above with the full
 /// system solved via SolveForSnapshot (mirroring SolvePsi round 1
-/// exactly). One LP solve, charged to the governor like any other.
+/// exactly). One LP solve, charged to the governor like any other. The
+/// solved snapshot is trimmed to its exact size, since the base is kept.
 Result<IncrementalPsiBase> PrepareIncrementalPsi(
     const Expansion& expansion, const PsiSolverOptions& options);
 

@@ -19,6 +19,7 @@
 #include "base/rng.h"
 #include "model/schema.h"
 #include "reasoner/incremental.h"
+#include "reasoner/lazy_engine.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
 
@@ -286,6 +287,241 @@ TEST(IncrementalEquivalenceTest, MalformedQueriesErrorLikeFromScratch) {
   auto answers = session.RunImplicationBatch({bad});
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(expected.status().ToString(), answers.status().ToString());
+}
+
+// --- Lazy sessions: one session-level partial base ------------------------
+//
+// Under lazy expansion every lazy probe resumes from a partial base the
+// session builds once per schema fingerprint, on its first lazy probe.
+// Answers must stay bit-identical to from-scratch, and every counter must
+// stay identical across thread counts: the base depends on the schema
+// alone, never on which probe worker built it.
+
+ReasonerOptions LazySessionOptions(int threads) {
+  ReasonerOptions options;
+  options.num_threads = threads;
+  options.lazy_expansion = true;
+  return options;
+}
+
+/// The equivalence schemas plus the lazy engine's dense families, kept
+/// small enough for the from-scratch reference: a query spanning the
+/// chaff/core boundary fuses both clusters in the aux-extended schema.
+std::vector<std::pair<std::string, Schema>> LazyBaseSchemas() {
+  std::vector<std::pair<std::string, Schema>> schemas = TestSchemas();
+  schemas.emplace_back("chain-12x2", GenerateChainSchema(ChainParams{12, 2}));
+  DenseBlowupParams blowup;
+  blowup.chaff_classes = 5;
+  blowup.core_classes = 3;
+  schemas.emplace_back("dense_blowup-5+3", GenerateDenseBlowupSchema(blowup));
+  DenseUnsatParams unsat;
+  unsat.chaff_classes = 5;
+  unsat.core_classes = 3;
+  schemas.emplace_back("dense_unsat-5+3", GenerateDenseUnsatSchema(unsat));
+  return schemas;
+}
+
+/// Three batches per session: fresh queries, a partial repeat, fresh again.
+std::vector<std::vector<ImplicationQuery>> SessionBatches(
+    const Schema& schema) {
+  Rng rng(606);
+  std::vector<std::vector<ImplicationQuery>> batches;
+  batches.push_back(MakeBatch(schema, &rng, 12));
+  std::vector<ImplicationQuery> second = MakeBatch(schema, &rng, 8);
+  second.insert(second.end(), batches[0].begin(), batches[0].begin() + 4);
+  batches.push_back(std::move(second));
+  batches.push_back(MakeBatch(schema, &rng, 12));
+  return batches;
+}
+
+TEST(LazySessionBaseTest, AnswersMatchFromScratchAcrossBatchesAndMutation) {
+  for (const auto& [label, original] : LazyBaseSchemas()) {
+    const auto batches = SessionBatches(original);
+    // The mutated schema of the last batch: a fresh class subsumed by
+    // class 0 changes the fingerprint, which must drop the partial base.
+    Schema mutated = original;
+    ClassId added = mutated.InternClass("__mutation");
+    mutated.mutable_class_definition(added)->isa = ClassFormula::OfClass(0);
+    ASSERT_TRUE(mutated.Validate().ok()) << label;
+
+    std::vector<std::vector<bool>> expected;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      Reasoner reference(b + 1 < batches.size() ? &original : &mutated,
+                         ReasonerOptions{});
+      auto answers = reference.RunImplicationBatch(batches[b]);
+      ASSERT_TRUE(answers.ok()) << label << ": " << answers.status();
+      expected.push_back(answers.value());
+    }
+
+    for (int threads : kThreadCounts) {
+      Schema schema = original;
+      IncrementalSession session(&schema, LazySessionOptions(threads));
+      uint64_t lazy_probes_before_mutation = 0;
+      for (size_t b = 0; b < batches.size(); ++b) {
+        if (b + 1 == batches.size()) {
+          lazy_probes_before_mutation =
+              session.stats().probes - session.stats().cluster_local;
+          schema = mutated;
+        }
+        auto answers = session.RunImplicationBatch(batches[b]);
+        ASSERT_TRUE(answers.ok()) << label << " threads=" << threads
+                                  << " batch=" << b << ": "
+                                  << answers.status();
+        EXPECT_EQ(expected[b], answers.value())
+            << label << " threads=" << threads << " batch=" << b;
+      }
+      IncrementalStats stats = session.stats();
+      const uint64_t lazy_probes_after_mutation =
+          stats.probes - stats.cluster_local - lazy_probes_before_mutation;
+      // One base per fingerprint that saw a lazy probe.
+      EXPECT_EQ(stats.lazy_base_builds,
+                (lazy_probes_before_mutation > 0 ? 1u : 0u) +
+                    (lazy_probes_after_mutation > 0 ? 1u : 0u))
+          << label << " threads=" << threads;
+      EXPECT_GT(stats.lazy_hits, 0u) << label << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LazySessionBaseTest, CountersAreIdenticalAcrossThreadCounts) {
+  for (const auto& [label, schema] : LazyBaseSchemas()) {
+    const auto batches = SessionBatches(schema);
+    auto run = [&](int threads) {
+      std::vector<ProgressSnapshot> progress;
+      IncrementalSession session(&schema, LazySessionOptions(threads));
+      for (const auto& batch : batches) {
+        ExecContext exec;
+        session.set_exec(&exec);
+        auto answers = session.RunImplicationBatch(batch);
+        EXPECT_TRUE(answers.ok()) << label << ": " << answers.status();
+        progress.push_back(exec.progress());
+      }
+      session.set_exec(nullptr);
+      return std::make_pair(session.stats(), progress);
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(serial.first.lazy_base_builds, 1u) << label;
+    for (int threads : {2, 8}) {
+      const auto parallel = run(threads);
+      EXPECT_TRUE(parallel.first == serial.first)
+          << label << " threads=" << threads;
+      EXPECT_TRUE(parallel.second == serial.second)
+          << label << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LazySessionBaseTest, SecondBatchOfNewQueriesSolvesNoColdLp) {
+  // The warmth gate: once the first batch has built the partial base,
+  // every LP a later batch's lazy probes solve is a resume of it.
+  Schema schema = GenerateChainSchema(ChainParams{12, 2});
+  Rng rng(707);
+  std::vector<ImplicationQuery> first = MakeBatch(schema, &rng, 16);
+  std::set<std::string> seen;
+  for (const ImplicationQuery& query : first) {
+    seen.insert(IncrementalSession::CanonicalQueryKey(query));
+  }
+  std::vector<ImplicationQuery> second;
+  for (const ImplicationQuery& query : MakeBatch(schema, &rng, 32)) {
+    if (seen.insert(IncrementalSession::CanonicalQueryKey(query)).second) {
+      second.push_back(query);
+    }
+  }
+  ASSERT_GE(second.size(), 8u);
+
+  IncrementalSession session(&schema, LazySessionOptions(1));
+  ASSERT_TRUE(session.RunImplicationBatch(first).ok());
+  ASSERT_EQ(session.stats().lazy_base_builds, 1u);
+  const IncrementalStats before = session.stats();
+
+  ExecContext exec;
+  session.set_exec(&exec);
+  auto answers = session.RunImplicationBatch(second);
+  session.set_exec(nullptr);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  const IncrementalStats after = session.stats();
+  const ProgressSnapshot progress = exec.progress();
+
+  EXPECT_EQ(after.memo_hits, before.memo_hits) << "all queries are new";
+  EXPECT_GT(after.lazy_hits, before.lazy_hits);
+  EXPECT_EQ(after.lazy_base_builds, 1u) << "the base is built once";
+  EXPECT_EQ(after.base_builds, 0u);
+  EXPECT_EQ(after.fallbacks, 0u);
+  EXPECT_GT(progress.lp_solves, 0u);
+  EXPECT_EQ(progress.lp_solves, progress.warm_starts)
+      << "a lazy probe solved a cold LP despite the session base";
+  // The session's own warm-start count sees the lazy resumes too.
+  EXPECT_EQ(after.warm_starts - before.warm_starts, progress.warm_starts);
+
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto expected = reference.RunImplicationBatch(second);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected.value(), answers.value());
+}
+
+TEST(LazySessionBaseTest, TripDuringBaseBuildPublishesNothing) {
+  // Chart the governed work of the base build alone, then inject a fault
+  // at every threshold up to its end. The batch's first charge is one
+  // "implication" unit, so every such threshold trips before the base is
+  // complete, whatever the schedule: the batch fails with the coherent
+  // fault-injection report, no partial base is published, and the next
+  // ungoverned batch builds it once and answers exactly.
+  Schema schema = GenerateChainSchema(ChainParams{6, 2});
+  Rng rng(808);
+  const std::vector<ImplicationQuery> batch = MakeBatch(schema, &rng, 6);
+  Reasoner reference(&schema, ReasonerOptions{});
+  auto expected = reference.RunImplicationBatch(batch);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  uint64_t base_work = 0;
+  {
+    ExecContext exec;
+    ReasonerOptions options = LazySessionOptions(1);
+    options.expansion.exec = &exec;
+    options.solver.exec = &exec;
+    auto base = BuildLazySessionBase(schema, options.expansion,
+                                     options.solver, options.lazy);
+    ASSERT_TRUE(base.ok()) << base.status();
+    base_work = exec.progress().work_charged;
+    ASSERT_GT(base_work, 0u);
+  }
+
+  const uint64_t cold_bytes =
+      IncrementalSession(&schema, LazySessionOptions(1)).EstimatedMemoryBytes();
+  for (uint64_t inject = 0; inject <= base_work; ++inject) {
+    std::string serial_report;
+    for (int threads : kThreadCounts) {
+      ReasonerOptions options = LazySessionOptions(threads);
+      // No tier-2 solves: every probe goes through the lazy engine.
+      options.prefilter = false;
+      IncrementalSession session(&schema, options);
+      ExecContext exec;
+      exec.InjectTripAfter(inject);
+      session.set_exec(&exec);
+      auto tripped = session.RunImplicationBatch(batch);
+      ASSERT_FALSE(tripped.ok()) << "inject=" << inject;
+      ASSERT_TRUE(exec.tripped()) << "inject=" << inject;
+      EXPECT_EQ(exec.report().kind, LimitKind::kFaultInjection);
+      EXPECT_EQ(exec.report().phase, "implication");
+      EXPECT_EQ(exec.report().limit, inject);
+      if (threads == 1) serial_report = exec.report().ToString();
+      EXPECT_EQ(exec.report().ToString(), serial_report)
+          << "inject=" << inject << " threads=" << threads;
+      EXPECT_EQ(session.stats().lazy_base_builds, 0u)
+          << "inject=" << inject << " threads=" << threads;
+      EXPECT_EQ(session.EstimatedMemoryBytes(), cold_bytes)
+          << "inject=" << inject << " threads=" << threads;
+
+      session.set_exec(nullptr);
+      auto recovered = session.RunImplicationBatch(batch);
+      ASSERT_TRUE(recovered.ok())
+          << "inject=" << inject << ": " << recovered.status();
+      EXPECT_EQ(expected.value(), recovered.value())
+          << "inject=" << inject << " threads=" << threads;
+      EXPECT_EQ(session.stats().lazy_base_builds, 1u)
+          << "inject=" << inject << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

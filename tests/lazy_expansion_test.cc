@@ -388,6 +388,74 @@ TEST(LazyExpansionTest, PartialMaterializationIsSubsetOfEager) {
   }
 }
 
+TEST(LazyExpansionTest, IsPrunedCompoundDecidesEagerMembership) {
+  // The guard a lazy run applies before resuming a base streamed from
+  // another schema: for every non-empty class subset of small schemas,
+  // IsPrunedCompound must agree exactly with membership in the eager
+  // pruned expansion. Random general schemas plus union-free
+  // hierarchies (whose tables gain completed disjointness entries).
+  std::vector<Schema> schemas;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 17);
+    GeneralSchemaParams params;
+    params.num_classes = 5 + static_cast<int>(seed % 4);
+    params.num_attributes = 2;
+    params.num_relations = seed % 2 == 0 ? 1 : 0;
+    schemas.push_back(RandomGeneralSchema(&rng, params));
+  }
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 29);
+    HierarchyParams params;
+    params.num_classes = 8;
+    params.num_trees = 2;
+    schemas.push_back(GenerateHierarchy(&rng, params));
+  }
+  {
+    // Union-free: two subclasses never forced together are completed
+    // disjoint, so {Person, Student, Employee} is consistent yet pruned.
+    Schema schema;
+    ClassId person = schema.InternClass("Person");
+    for (const char* name : {"Student", "Employee", "Manager"}) {
+      schema.mutable_class_definition(schema.InternClass(name))->isa =
+          ClassFormula::OfClass(person);
+    }
+    ASSERT_TRUE(schema.Validate().ok());
+    ASSERT_TRUE(schema.IsUnionFree());
+    schemas.push_back(std::move(schema));
+  }
+
+  ExpansionOptions options;
+  size_t consistent_but_pruned = 0;
+  for (size_t s = 0; s < schemas.size(); ++s) {
+    const Schema& schema = schemas[s];
+    auto eager = BuildExpansion(schema, options);
+    ASSERT_TRUE(eager.ok()) << "schema " << s << ": " << eager.status();
+    const std::set<std::vector<ClassId>> eager_sets = CompoundSets(*eager);
+    const ExpansionPreamble preamble = BuildExpansionPreamble(schema, options);
+    const int n = schema.num_classes();
+    ASSERT_LE(n, 12);
+    size_t accepted = 0;
+    for (uint32_t mask = 1; mask < (1u << n); ++mask) {
+      std::vector<ClassId> members;
+      for (int c = 0; c < n; ++c) {
+        if ((mask >> c) & 1u) members.push_back(c);
+      }
+      const CompoundClass compound(members);
+      const bool in_eager = eager_sets.count(members) > 0;
+      EXPECT_EQ(IsPrunedCompound(schema, preamble, compound), in_eager)
+          << "schema " << s << " mask " << mask;
+      if (in_eager) ++accepted;
+      if (!in_eager && compound.IsConsistent(schema)) {
+        ++consistent_but_pruned;
+      }
+    }
+    // Every non-empty eager compound was among the subsets tried.
+    EXPECT_EQ(accepted + 1, eager->compound_classes.size()) << "schema " << s;
+  }
+  // The table checks are exercised, not just the consistency check.
+  EXPECT_GT(consistent_but_pruned, 0u);
+}
+
 // --- Witness checker -----------------------------------------------------
 
 /// A hand-built schema whose expansion and witness values are easy to

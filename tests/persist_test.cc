@@ -758,5 +758,47 @@ TEST(LazySnapshotEligibilityTest, CacheSkipsSpillOfIneligibleSession) {
   EXPECT_EQ(store.value()->stats().saves, 0u);
 }
 
+TEST(LazySnapshotEligibilityTest, PartialBaseAloneIsSnapshotIneligible) {
+  // Lazy probes resume from the session's partial base, so a lazy session
+  // that answered conclusively holds that base and no full one. The
+  // partial base is not the warm state a snapshot restores: the session
+  // stays ineligible, Serialize refuses, and the cache skips and counts
+  // the spill.
+  ScratchDir dir;
+  auto store = SnapshotStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+
+  Schema schema = GenerateChainSchema(ChainParams{8, 2});
+  const std::string text = PrintSchema(schema);
+  Rng rng(31);
+  const std::vector<ImplicationQuery> batch = MakeBatch(schema, &rng, 8);
+
+  serve::SessionCacheOptions options;
+  options.store = store.value().get();
+  options.reasoner.lazy_expansion = true;
+  serve::SessionCache cache(options);
+  bool warm = false;
+  auto entry = cache.Open("partial-tenant", text, &warm);
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  IncrementalSession* session = entry.value()->session.get();
+  auto answers = session->RunImplicationBatch(batch);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_GT(session->stats().lazy_hits, 0u);
+  ASSERT_EQ(session->stats().lazy_base_builds, 1u);
+  ASSERT_EQ(session->stats().base_builds, 0u);
+
+  EXPECT_FALSE(session->SnapshotEligible());
+  auto bytes = session->Serialize();
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kFailedPrecondition);
+
+  cache.UpdateCost(entry.value());
+  cache.SpillAll();
+  EXPECT_EQ(cache.stats().spills, 0u);
+  EXPECT_EQ(cache.stats().spill_failures, 0u);
+  EXPECT_GE(cache.stats().spill_ineligible, 1u);
+  EXPECT_EQ(store.value()->stats().saves, 0u);
+}
+
 }  // namespace
 }  // namespace car

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "expansion/expansion.h"
 #include "model/builder.h"
+#include "solver/incremental_psi.h"
 #include "solver/psi.h"
 #include "test_schemas.h"
 #include "workloads/generators.h"
@@ -247,6 +249,25 @@ TEST(SolverTest, GovernedSolveTracksLpProgress) {
   EXPECT_FALSE(exec.tripped());
   EXPECT_EQ(exec.progress().lp_solves, solution->lp_solves);
   EXPECT_EQ(exec.progress().pivots_executed, solution->total_pivots);
+}
+
+TEST(IncrementalPsiTest, PreparedSnapshotKeepsNoMergeHeadroom) {
+  // Pivots leave each touched row with the capacity of its last merge
+  // (|row| + |pivot row|). A prepared base is kept for the life of a
+  // session, so its rows are trimmed to their exact size.
+  Schema schema = GenerateChainSchema(ChainParams{12, 2});
+  auto expansion = BuildExpansion(schema, ExpansionOptions{});
+  ASSERT_TRUE(expansion.ok()) << expansion.status();
+  auto base = PrepareIncrementalPsi(expansion.value(), PsiSolverOptions{});
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_GT(base->base_pivots, 0u);
+  const SimplexSnapshot& snapshot = base->snapshot;
+  for (size_t i = 0; i < snapshot.rows.size(); ++i) {
+    EXPECT_EQ(snapshot.rows[i].entries().capacity(), snapshot.rows[i].nnz())
+        << "row " << i;
+  }
+  EXPECT_EQ(snapshot.rows.capacity(), snapshot.rows.size());
+  EXPECT_EQ(snapshot.rhs.capacity(), snapshot.rhs.size());
 }
 
 }  // namespace
