@@ -31,6 +31,10 @@ class LimbVector {
     size_ = static_cast<uint32_t>(count);
   }
   LimbVector(const uint32_t* limbs, size_t count) {
+    // A zero magnitude may arrive as (nullptr, 0), e.g. from an empty
+    // decoded limb list; memcpy's source must be non-null even for zero
+    // bytes. (The other copies below read data(), which never is null.)
+    if (count == 0) return;
     EnsureCapacity(count);
     std::memcpy(data(), limbs, count * sizeof(uint32_t));
     size_ = static_cast<uint32_t>(count);

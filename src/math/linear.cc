@@ -87,7 +87,9 @@ std::string LinearSystem::ToString() const {
   std::ostringstream os;
   os << "variables (" << names_.size() << "):\n";
   for (size_t i = 0; i < names_.size(); ++i) {
-    os << "  x" << i << " = " << names_[i] << "\n";
+    os << "  x" << i;
+    if (!names_[i].empty()) os << " = " << names_[i];
+    os << "\n";
   }
   os << "constraints (" << constraints_.size() << "):\n";
   for (const LinearConstraint& constraint : constraints_) {

@@ -48,21 +48,22 @@ struct LinearConstraint {
   LinearExpr expr;
   Relation relation = Relation::kLessEqual;
   Rational rhs;
-  /// Optional provenance label (e.g. which Natt entry produced it); used
-  /// for diagnostics and system dumps only.
+  /// Optional label for hand-built systems; printed by ToString only.
+  /// Generated systems (Ψ) leave it empty.
   std::string label;
 
   /// Returns true if `assignment` satisfies this constraint.
   bool IsSatisfiedBy(const std::vector<Rational>& assignment) const;
 };
 
-/// A system of linear constraints over named, implicitly nonnegative
-/// variables. This is the "system of linear disequations" Ψ_S of the
-/// paper's Section 3.2: all variables are required >= 0 by the solver.
+/// A system of linear constraints over implicitly nonnegative variables.
+/// This is the "system of linear disequations" Ψ_S of the paper's Section
+/// 3.2: all variables are required >= 0 by the solver.
 class LinearSystem {
  public:
-  /// Adds a variable and returns its index.
-  int AddVariable(std::string name);
+  /// Adds a variable and returns its index. The name is optional and
+  /// only shown by ToString; generated systems (Ψ) pass none.
+  int AddVariable(std::string name = {});
 
   void AddConstraint(LinearConstraint constraint);
 
@@ -76,7 +77,8 @@ class LinearSystem {
   /// constraint and every value is nonnegative.
   bool IsSatisfiedBy(const std::vector<Rational>& assignment) const;
 
-  /// Multi-line human-readable rendering of the system.
+  /// Multi-line human-readable rendering of the system; an unnamed
+  /// variable is listed as a bare x<i>.
   std::string ToString() const;
 
  private:

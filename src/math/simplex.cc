@@ -31,6 +31,52 @@ inline Rational CellToRational(const Scalar& value) {
   return value.ToRational();
 }
 
+/// The entry rule shared by every kernel and by ResumeMaximize's appended
+/// rows: a row enters negated when its right-hand side is negative, and
+/// also when it is a homogeneous >= row. Then `a·x >= 0` enters as
+/// `-a·x <= 0`, whose slack starts basic at 0: the row needs no surplus
+/// and artificial pair, so a system of such rows (Ψ's lower bounds) starts
+/// on a feasible all-slack basis and skips phase 1. The flip is recorded
+/// per row (SparseTableau::flipped), which is all that Farkas extraction
+/// and row extensions need to map back to the original row.
+template <typename Value>
+bool EntersNegated(const Value& rhs, Relation relation) {
+  return rhs.is_negative() ||
+         (rhs.is_zero() && relation == Relation::kGreaterEqual);
+}
+
+/// How a constraint enters a cold tableau: whether it is negated, and the
+/// relation of the (possibly negated) row.
+struct RowEntry {
+  bool flip = false;
+  Relation relation = Relation::kLessEqual;
+};
+
+RowEntry EntryOf(const LinearConstraint& constraint) {
+  RowEntry entry{EntersNegated(constraint.rhs, constraint.relation),
+                 constraint.relation};
+  if (entry.flip && entry.relation != Relation::kEqual) {
+    entry.relation = entry.relation == Relation::kLessEqual
+                         ? Relation::kGreaterEqual
+                         : Relation::kLessEqual;
+  }
+  return entry;
+}
+
+/// Counts the auxiliary columns a cold tableau of `constraints` needs: a
+/// slack per <= row, a surplus and an artificial per >= row, an
+/// artificial per = row (relations as EntryOf leaves them).
+void CountAuxiliaryColumns(const std::vector<LinearConstraint>& constraints,
+                           int* num_slack, int* num_artificial) {
+  *num_slack = 0;
+  *num_artificial = 0;
+  for (const LinearConstraint& constraint : constraints) {
+    const Relation relation = EntryOf(constraint).relation;
+    if (relation != Relation::kEqual) ++*num_slack;
+    if (relation != Relation::kLessEqual) ++*num_artificial;
+  }
+}
+
 // ===========================================================================
 // Sparse production kernel: compressed sparse rows of Scalar cells.
 // ===========================================================================
@@ -234,38 +280,17 @@ InfeasibilityCertificate ExtractFarkasCertificate(
   return certificate;
 }
 
-/// Builds the phase-1 tableau from the system: slack variables for <=,
-/// surplus+artificial for >=, artificial for =; right-hand sides are made
-/// nonnegative first. Rows are assembled directly in sparse form from the
-/// (already sparse) LinearExpr term maps — the system is never densified.
+/// Builds the phase-1 tableau from the system: rows enter by EntryOf
+/// (negative right-hand sides and homogeneous >= rows negated), then get a
+/// slack for <=, surplus+artificial for >=, artificial for =. Rows are
+/// assembled directly in sparse form from the (already sparse) LinearExpr
+/// term maps — the system is never densified.
 SparseTableau BuildTableau(const LinearSystem& system) {
   const int n = system.num_variables();
   const auto& constraints = system.constraints();
-
-  // First pass: count auxiliary columns.
   int num_slack = 0;
   int num_artificial = 0;
-  for (const LinearConstraint& constraint : constraints) {
-    bool flip = constraint.rhs.is_negative();
-    Relation relation = constraint.relation;
-    if (flip && relation == Relation::kLessEqual) {
-      relation = Relation::kGreaterEqual;
-    } else if (flip && relation == Relation::kGreaterEqual) {
-      relation = Relation::kLessEqual;
-    }
-    switch (relation) {
-      case Relation::kLessEqual:
-        ++num_slack;
-        break;
-      case Relation::kGreaterEqual:
-        ++num_slack;  // Surplus.
-        ++num_artificial;
-        break;
-      case Relation::kEqual:
-        ++num_artificial;
-        break;
-    }
-  }
+  CountAuxiliaryColumns(constraints, &num_slack, &num_artificial);
 
   SparseTableau tableau;
   tableau.num_cols = n + num_slack + num_artificial;
@@ -279,9 +304,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
   for (const LinearConstraint& constraint : constraints) {
     SparseRow row;
     row.reserve(constraint.expr.terms().size() + 2);
-    Rational rhs = constraint.rhs;
-    Relation relation = constraint.relation;
-    bool flip = rhs.is_negative();
+    const auto [flip, relation] = EntryOf(constraint);
     // LinearExpr terms are sorted by variable and nonzero, and every
     // structural index is below the auxiliary columns, so the row can be
     // appended in order without any sorting pass.
@@ -289,14 +312,6 @@ SparseTableau BuildTableau(const LinearSystem& system) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
       row.Append(variable, Scalar(flip ? -coefficient : coefficient));
-    }
-    if (flip) {
-      rhs = -rhs;
-      if (relation == Relation::kLessEqual) {
-        relation = Relation::kGreaterEqual;
-      } else if (relation == Relation::kGreaterEqual) {
-        relation = Relation::kLessEqual;
-      }
     }
     int basic = -1;
     switch (relation) {
@@ -316,7 +331,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(Scalar(rhs));
+    tableau.rhs.push_back(Scalar(flip ? -constraint.rhs : constraint.rhs));
     tableau.basis.push_back(basic);
     tableau.init_basic.push_back(basic);
     tableau.flipped.push_back(flip);
@@ -549,30 +564,9 @@ template <typename Cell>
 DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   const int n = system.num_variables();
   const auto& constraints = system.constraints();
-
   int num_slack = 0;
   int num_artificial = 0;
-  for (const LinearConstraint& constraint : constraints) {
-    bool flip = constraint.rhs.is_negative();
-    Relation relation = constraint.relation;
-    if (flip && relation == Relation::kLessEqual) {
-      relation = Relation::kGreaterEqual;
-    } else if (flip && relation == Relation::kGreaterEqual) {
-      relation = Relation::kLessEqual;
-    }
-    switch (relation) {
-      case Relation::kLessEqual:
-        ++num_slack;
-        break;
-      case Relation::kGreaterEqual:
-        ++num_slack;
-        ++num_artificial;
-        break;
-      case Relation::kEqual:
-        ++num_artificial;
-        break;
-    }
-  }
+  CountAuxiliaryColumns(constraints, &num_slack, &num_artificial);
 
   DenseTableau<Cell> tableau;
   tableau.num_cols = n + num_slack + num_artificial;
@@ -585,22 +579,12 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   int next_artificial = n + num_slack;
   for (const LinearConstraint& constraint : constraints) {
     std::vector<Cell> row(tableau.num_cols);
-    Rational rhs = constraint.rhs;
-    Relation relation = constraint.relation;
-    bool flip = rhs.is_negative();
+    const auto [flip, relation] = EntryOf(constraint);
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
       row[variable] =
           CellFromRational<Cell>(flip ? -coefficient : coefficient);
-    }
-    if (flip) {
-      rhs = -rhs;
-      if (relation == Relation::kLessEqual) {
-        relation = Relation::kGreaterEqual;
-      } else if (relation == Relation::kGreaterEqual) {
-        relation = Relation::kLessEqual;
-      }
     }
     int basic = -1;
     switch (relation) {
@@ -620,7 +604,8 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(CellFromRational<Cell>(rhs));
+    tableau.rhs.push_back(
+        CellFromRational<Cell>(flip ? -constraint.rhs : constraint.rhs));
     tableau.basis.push_back(basic);
   }
   return tableau;
@@ -1051,7 +1036,10 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
       }
       rhs -= factor * tableau.rhs[i];
     }
-    bool negate = rhs.is_negative();
+    // The cold entry rule on the eliminated row: the new aux column is in
+    // no other row, so a >= row's surplus still holds its -1 here, and a
+    // zero right-hand side lets the negated row's slack start basic.
+    const bool negate = EntersNegated(rhs, constraint.relation);
     if (negate) {
       for (Scalar& cell : accumulator) {
         if (!cell.is_zero()) cell = -cell;

@@ -121,8 +121,9 @@ struct SimplexSnapshot {
   /// insertion (its current contents are B^-1 e_row, the key to pricing
   /// out appended columns).
   std::vector<int> init_basic;
-  /// Per row: whether the row was negated when incorporated (its
-  /// right-hand side was negative), so appended terms must negate too.
+  /// Per row: whether the row was negated when incorporated (a negative
+  /// right-hand side, or a homogeneous >= row entering as its negated <=
+  /// row), so appended terms and Farkas multipliers must negate too.
   std::vector<bool> row_flipped;
   /// Structural variable -> column and back (-1 for auxiliary columns).
   std::vector<int> col_of_var;
@@ -190,10 +191,15 @@ struct SimplexDelta {
 /// All variables of the LinearSystem are constrained to be nonnegative,
 /// matching the disequation systems of the paper (Section 3.2): every
 /// unknown Var(X̄) counts instances and the system always contains
-/// Var(X̄) >= 0. Bland's anti-cycling rule is used throughout, so the
-/// solver terminates on every input; arithmetic is exact (Scalar: int64
-/// fast path with checked overflow promoting to BigInt-backed Rational),
-/// so the answer is never affected by rounding or wraparound.
+/// Var(X̄) >= 0. A homogeneous >= row `a·x >= 0` enters every kernel (and
+/// a resumed solve) as `-a·x <= 0` with its slack basic at 0, so only =
+/// rows and rows that exclude x = 0 get an artificial; a system without
+/// them — the homogeneous Ψ_S plus its `t <= 1` gadgets — goes straight
+/// to phase 2. Bland's anti-cycling rule is used
+/// throughout, so the solver terminates on every input; arithmetic is
+/// exact (Scalar: int64 fast path with checked overflow promoting to
+/// BigInt-backed Rational), so the answer is never affected by rounding
+/// or wraparound.
 class SimplexSolver {
  public:
   struct Options {

@@ -4,40 +4,8 @@
 #include <utility>
 
 #include "base/check.h"
-#include "base/strings.h"
 
 namespace car {
-
-namespace {
-
-/// Mirrors EmitBoundPair of the Ψ builder: emits up to two constraints
-/// u * Var(C̄) <= sum <= v * Var(C̄) into `out`.
-void AppendBoundPair(int cc_variable, const LinearExpr& sum,
-                     const Cardinality& cardinality, const std::string& label,
-                     std::vector<LinearConstraint>* out) {
-  if (cardinality.min() > 0) {
-    LinearConstraint lower;
-    lower.expr = sum;
-    lower.expr.Add(cc_variable,
-                   Rational(-static_cast<int64_t>(cardinality.min())));
-    lower.relation = Relation::kGreaterEqual;
-    lower.rhs = Rational(0);
-    lower.label = StrCat(label, " min ", cardinality.min());
-    out->push_back(std::move(lower));
-  }
-  if (cardinality.has_finite_max()) {
-    LinearConstraint upper;
-    upper.expr = sum;
-    upper.expr.Add(cc_variable,
-                   Rational(-static_cast<int64_t>(cardinality.max())));
-    upper.relation = Relation::kLessEqual;
-    upper.rhs = Rational(0);
-    upper.label = StrCat(label, " max ", cardinality.max());
-    out->push_back(std::move(upper));
-  }
-}
-
-}  // namespace
 
 UnsatProbe BuildUnsatProbe(const Expansion& partial, ClassId target) {
   UnsatProbe probe;
@@ -50,7 +18,6 @@ UnsatProbe BuildUnsatProbe(const Expansion& partial, ClassId target) {
   }
   row.relation = Relation::kGreaterEqual;
   row.rhs = Rational(1);
-  row.label = StrCat("unsat-probe @ ", partial.schema->ClassName(target));
   probe.probe_row = probe.psi.system.constraints().size();
   probe.psi.system.AddConstraint(std::move(row));
   return probe;
@@ -105,24 +72,17 @@ Result<IncrementalPsiBase> BuildIncrementalPsiBaseStructure(
                base.psi.system.constraints().size());
 
   // Support t-gadgets, exactly as SolvePsi emits them for the all-active
-  // round: t <= Var(C̄), t <= 1, objective Σ t.
+  // round.
   base.t_var.assign(expansion.compound_classes.size(), -1);
+  std::vector<LinearConstraint> gadgets;
   for (size_t i = 0; i < expansion.compound_classes.size(); ++i) {
     if (!base.cc_constrained[i]) continue;
-    int t = base.psi.system.AddVariable(StrCat("t#", i));
-    base.t_var[i] = t;
-    LinearConstraint below_var;
-    below_var.expr.Add(t, Rational(1));
-    below_var.expr.Add(base.psi.cc_var[i], Rational(-1));
-    below_var.relation = Relation::kLessEqual;
-    below_var.rhs = Rational(0);
-    base.psi.system.AddConstraint(std::move(below_var));
-    LinearConstraint below_one;
-    below_one.expr.Add(t, Rational(1));
-    below_one.relation = Relation::kLessEqual;
-    below_one.rhs = Rational(1);
-    base.psi.system.AddConstraint(std::move(below_one));
-    base.objective.Add(t, Rational(1));
+    base.t_var[i] = base.psi.system.AddVariable();
+    AppendSupportGadget(base.t_var[i], base.psi.cc_var[i], &gadgets,
+                        &base.objective);
+  }
+  for (LinearConstraint& row : gadgets) {
+    base.psi.system.AddConstraint(std::move(row));
   }
   return base;
 }
@@ -261,8 +221,7 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
         sum.Add(var_of_ca(ca_index), Rational(1));
       }
     }
-    AppendBoundPair(var_of_cc(compound_index), sum, cardinality,
-                    StrCat("delta natt #", compound_index),
+    AppendBoundRows(var_of_cc(compound_index), sum, cardinality,
                     &round_delta.new_constraints);
   }
   for (const auto& [key, cardinality] : delta.new_nrel) {
@@ -273,8 +232,7 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
         sum.Add(var_of_cr(cr_index), Rational(1));
       }
     }
-    AppendBoundPair(var_of_cc(std::get<2>(key)), sum, cardinality,
-                    StrCat("delta nrel #", std::get<2>(key)),
+    AppendBoundRows(var_of_cc(std::get<2>(key)), sum, cardinality,
                     &round_delta.new_constraints);
   }
 
@@ -283,18 +241,8 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
   LinearExpr objective = psi_base.objective;
   for (int j = 0; j < num_new_cc; ++j) {
     if (new_t_var[j] < 0) continue;
-    LinearConstraint below_var;
-    below_var.expr.Add(new_t_var[j], Rational(1));
-    below_var.expr.Add(new_cc_var[j], Rational(-1));
-    below_var.relation = Relation::kLessEqual;
-    below_var.rhs = Rational(0);
-    round_delta.new_constraints.push_back(std::move(below_var));
-    LinearConstraint below_one;
-    below_one.expr.Add(new_t_var[j], Rational(1));
-    below_one.relation = Relation::kLessEqual;
-    below_one.rhs = Rational(1);
-    round_delta.new_constraints.push_back(std::move(below_one));
-    objective.Add(new_t_var[j], Rational(1));
+    AppendSupportGadget(new_t_var[j], new_cc_var[j],
+                        &round_delta.new_constraints, &objective);
   }
 
   // Copy the base snapshot. The rows are compressed sparse, so this
@@ -394,7 +342,6 @@ Result<PartialPsiResult> SolvePsiOverDelta(const Expansion& base,
       pin.expr.Add(variable, Rational(1));
       pin.relation = Relation::kLessEqual;
       pin.rhs = Rational(0);
-      pin.label = "pin";
       round_delta.new_constraints.push_back(std::move(pin));
     }
   }

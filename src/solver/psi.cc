@@ -1,16 +1,14 @@
 #include "solver/psi.h"
 
+#include <utility>
+
 #include "base/check.h"
-#include "base/strings.h"
 
 namespace car {
 
-namespace {
-
-/// Emits u * Var(C̄) <= sum <= v * Var(C̄) as up to two constraints.
-void EmitBoundPair(int cc_variable, const LinearExpr& sum,
-                   const Cardinality& cardinality, const std::string& label,
-                   PsiSystem* psi) {
+void AppendBoundRows(int cc_variable, const LinearExpr& sum,
+                     const Cardinality& cardinality,
+                     std::vector<LinearConstraint>* rows) {
   if (cardinality.min() > 0) {
     LinearConstraint lower;
     lower.expr = sum;
@@ -18,9 +16,7 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.min())));
     lower.relation = Relation::kGreaterEqual;
     lower.rhs = Rational(0);
-    lower.label = StrCat(label, " min ", cardinality.min());
-    psi->system.AddConstraint(std::move(lower));
-    ++psi->num_disequations;
+    rows->push_back(std::move(lower));
   }
   if (cardinality.has_finite_max()) {
     LinearConstraint upper;
@@ -29,19 +25,31 @@ void EmitBoundPair(int cc_variable, const LinearExpr& sum,
                    Rational(-static_cast<int64_t>(cardinality.max())));
     upper.relation = Relation::kLessEqual;
     upper.rhs = Rational(0);
-    upper.label = StrCat(label, " max ", cardinality.max());
-    psi->system.AddConstraint(std::move(upper));
-    ++psi->num_disequations;
+    rows->push_back(std::move(upper));
   }
 }
 
-}  // namespace
+void AppendSupportGadget(int t, int cc_variable,
+                         std::vector<LinearConstraint>* rows,
+                         LinearExpr* objective) {
+  LinearConstraint below_var;
+  below_var.expr.Add(t, Rational(1));
+  below_var.expr.Add(cc_variable, Rational(-1));
+  below_var.relation = Relation::kLessEqual;
+  below_var.rhs = Rational(0);
+  rows->push_back(std::move(below_var));
+  LinearConstraint below_one;
+  below_one.expr.Add(t, Rational(1));
+  below_one.relation = Relation::kLessEqual;
+  below_one.rhs = Rational(1);
+  rows->push_back(std::move(below_one));
+  objective->Add(t, Rational(1));
+}
 
 PsiSystem BuildPsiSystem(const Expansion& expansion,
                          const std::vector<bool>& cc_active,
                          const std::vector<bool>& ca_active,
                          const std::vector<bool>& cr_active) {
-  const Schema& schema = *expansion.schema;
   CAR_CHECK_EQ(cc_active.size(), expansion.compound_classes.size());
   CAR_CHECK_EQ(ca_active.size(), expansion.compound_attributes.size());
   CAR_CHECK_EQ(cr_active.size(), expansion.compound_relations.size());
@@ -50,33 +58,17 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
   psi.cc_var.assign(cc_active.size(), -1);
   psi.ca_var.assign(ca_active.size(), -1);
   psi.cr_var.assign(cr_active.size(), -1);
-
   for (size_t i = 0; i < cc_active.size(); ++i) {
-    if (!cc_active[i]) continue;
-    psi.cc_var[i] = psi.system.AddVariable(
-        StrCat("cc:", expansion.compound_classes[i].ToString(schema)));
+    if (cc_active[i]) psi.cc_var[i] = psi.system.AddVariable();
   }
   for (size_t i = 0; i < ca_active.size(); ++i) {
-    if (!ca_active[i]) continue;
-    const CompoundAttribute& ca = expansion.compound_attributes[i];
-    psi.ca_var[i] = psi.system.AddVariable(
-        StrCat("ca:", schema.AttributeName(ca.attribute), "<",
-               expansion.compound_classes[ca.from].ToString(schema), ",",
-               expansion.compound_classes[ca.to].ToString(schema), ">"));
+    if (ca_active[i]) psi.ca_var[i] = psi.system.AddVariable();
   }
   for (size_t i = 0; i < cr_active.size(); ++i) {
-    if (!cr_active[i]) continue;
-    const CompoundRelation& cr = expansion.compound_relations[i];
-    std::vector<std::string> parts;
-    for (int component : cr.components) {
-      parts.push_back(
-          expansion.compound_classes[component].ToString(schema));
-    }
-    psi.cr_var[i] = psi.system.AddVariable(
-        StrCat("cr:", schema.RelationName(cr.relation), "<",
-               StrJoin(parts, ","), ">"));
+    if (cr_active[i]) psi.cr_var[i] = psi.system.AddVariable();
   }
 
+  std::vector<LinearConstraint> rows;
   // Natt constraints.
   for (const auto& [key, cardinality] : expansion.natt) {
     const auto& [term, compound_index] = key;
@@ -92,11 +84,7 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    std::string label =
-        StrCat(term.inverse ? "inv " : "", schema.AttributeName(term.attribute),
-               " @ ", expansion.compound_classes[compound_index]
-                          .ToString(schema));
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, label, &psi);
+    AppendBoundRows(psi.cc_var[compound_index], sum, cardinality, &rows);
   }
 
   // Nrel constraints.
@@ -113,12 +101,11 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
         }
       }
     }
-    std::string label =
-        StrCat(schema.RelationName(relation), "[", role_index, "] @ ",
-               expansion.compound_classes[compound_index].ToString(schema));
-    EmitBoundPair(psi.cc_var[compound_index], sum, cardinality, label, &psi);
+    AppendBoundRows(psi.cc_var[compound_index], sum, cardinality, &rows);
   }
 
+  psi.num_disequations = rows.size();
+  for (LinearConstraint& row : rows) psi.system.AddConstraint(std::move(row));
   return psi;
 }
 

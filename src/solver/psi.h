@@ -38,6 +38,9 @@ struct PsiSystem {
   size_t num_disequations = 0;
 };
 
+/// Builds Ψ_S over the active unknowns. The system carries no variable
+/// names and no row labels: Ψ is built for the LP only, "immediately" from
+/// the expansion (§4.2), so nothing is formatted per unknown or per row.
 PsiSystem BuildPsiSystem(const Expansion& expansion,
                          const std::vector<bool>& cc_active,
                          const std::vector<bool>& ca_active,
@@ -45,6 +48,25 @@ PsiSystem BuildPsiSystem(const Expansion& expansion,
 
 /// Convenience: the full system with every unknown active.
 PsiSystem BuildFullPsiSystem(const Expansion& expansion);
+
+/// The one Ψ row emitter. Appends the bound rows of a Natt/Nrel entry
+///   sum - u * Var(C̄) >= 0   (iff u > 0), then
+///   sum - v * Var(C̄) <= 0   (iff v is finite)
+/// to `rows`. Every Ψ builder — the from-scratch system above, the
+/// incremental delta rows, and the replays in
+/// BuildIncrementalPsiBaseStructure and certificate_check — relies on
+/// this lower-then-upper order.
+void AppendBoundRows(int cc_variable, const LinearExpr& sum,
+                     const Cardinality& cardinality,
+                     std::vector<LinearConstraint>* rows);
+
+/// The support gadget of the maximal-support LP for one constrained
+/// compound class: appends t - Var(C̄) <= 0 and t <= 1 to `rows` and adds
+/// t to `objective`. At the optimum of max Σ t, t = 1 exactly on the
+/// maximal support.
+void AppendSupportGadget(int t, int cc_variable,
+                         std::vector<LinearConstraint>* rows,
+                         LinearExpr* objective);
 
 }  // namespace car
 

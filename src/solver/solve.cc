@@ -4,7 +4,6 @@
 #include <mutex>
 #include <utility>
 
-#include "base/strings.h"
 #include "base/thread_pool.h"
 #include "solver/psi.h"
 
@@ -87,23 +86,16 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
     // the sum of all t. At the optimum, t_C̄ = 1 exactly on the maximal
     // support and Var(C̄) >= 1 there.
     LinearExpr objective;
-    std::vector<std::pair<size_t, int>> t_vars;  // (cc index, t variable).
+    std::vector<size_t> supported;  // Constrained active cc indices.
+    std::vector<LinearConstraint> gadgets;
     for (size_t i = 0; i < solution.cc_active.size(); ++i) {
       if (!solution.cc_active[i] || !cc_constrained[i]) continue;
-      int t = psi.system.AddVariable(StrCat("t#", i));
-      t_vars.emplace_back(i, t);
-      LinearConstraint below_var;
-      below_var.expr.Add(t, Rational(1));
-      below_var.expr.Add(psi.cc_var[i], Rational(-1));
-      below_var.relation = Relation::kLessEqual;
-      below_var.rhs = Rational(0);
-      psi.system.AddConstraint(std::move(below_var));
-      LinearConstraint below_one;
-      below_one.expr.Add(t, Rational(1));
-      below_one.relation = Relation::kLessEqual;
-      below_one.rhs = Rational(1);
-      psi.system.AddConstraint(std::move(below_one));
-      objective.Add(t, Rational(1));
+      supported.push_back(i);
+      AppendSupportGadget(psi.system.AddVariable(), psi.cc_var[i], &gadgets,
+                          &objective);
+    }
+    for (LinearConstraint& row : gadgets) {
+      psi.system.AddConstraint(std::move(row));
     }
 
     solution.largest_lp_variables =
@@ -128,8 +120,7 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
 
     // New support: compound classes whose unknown is strictly positive.
     bool shrank = false;
-    for (const auto& [cc_index, t_var] : t_vars) {
-      (void)t_var;
+    for (size_t cc_index : supported) {
       const Rational& value = lp.values[psi.cc_var[cc_index]];
       if (!value.is_positive()) {
         solution.cc_active[cc_index] = false;

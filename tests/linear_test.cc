@@ -97,6 +97,22 @@ TEST(LinearSystemTest, ToStringShowsConstraintsAndLabels) {
   EXPECT_NE(text.find("demo bound"), std::string::npos);
 }
 
+TEST(LinearSystemTest, UnnamedVariablesPrintBare) {
+  LinearSystem system;
+  int x = system.AddVariable();
+  int y = system.AddVariable("y");
+  EXPECT_EQ(system.variable_name(x), "");
+  LinearConstraint constraint;
+  constraint.expr.Add(x, Rational(1));
+  constraint.expr.Add(y, Rational(-1));
+  constraint.relation = Relation::kGreaterEqual;
+  system.AddConstraint(constraint);
+  std::string text = system.ToString();
+  EXPECT_NE(text.find("  x0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("  x1 = y\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("1*x0 + -1*x1 >= 0\n"), std::string::npos) << text;
+}
+
 TEST(RelationToStringTest, AllSpellings) {
   EXPECT_STREQ(RelationToString(Relation::kLessEqual), "<=");
   EXPECT_STREQ(RelationToString(Relation::kGreaterEqual), ">=");

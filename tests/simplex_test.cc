@@ -593,5 +593,303 @@ TEST(SimplexProperty, KernelsAreBitIdentical) {
   }
 }
 
+// --- Entry rule: homogeneous >= rows start on their slack ---------------
+
+/// `constraint` with both sides negated: `a·x >= 0` becomes `-a·x <= 0`.
+LinearConstraint Negated(const LinearConstraint& constraint) {
+  LinearConstraint negated;
+  for (const auto& [variable, coefficient] : constraint.expr.terms()) {
+    negated.expr.Add(variable, -coefficient);
+  }
+  negated.rhs = -constraint.rhs;
+  negated.relation = constraint.relation == Relation::kGreaterEqual
+                         ? Relation::kLessEqual
+                         : constraint.relation == Relation::kLessEqual
+                               ? Relation::kGreaterEqual
+                               : Relation::kEqual;
+  return negated;
+}
+
+/// `system` with every homogeneous >= row replaced by its negated <= row.
+LinearSystem WithHomogeneousRowsNegated(const LinearSystem& system) {
+  LinearSystem twin;
+  for (int j = 0; j < system.num_variables(); ++j) twin.AddVariable();
+  for (const LinearConstraint& constraint : system.constraints()) {
+    const bool homogeneous_lower =
+        constraint.relation == Relation::kGreaterEqual &&
+        constraint.rhs.is_zero();
+    twin.AddConstraint(homogeneous_lower ? Negated(constraint) : constraint);
+  }
+  return twin;
+}
+
+/// A random system shaped like Ψ_S (Section 3.2): compound-class unknowns
+/// c_i, compound-attribute unknowns from c_from to c_to, and per class and
+/// direction the homogeneous bound rows
+///   Σ a - min·c_i >= 0 (min > 0),  Σ a - max·c_i <= 0 (max finite),
+/// then the support gadgets t_i - c_i <= 0, t_i <= 1 with objective Σ t_i.
+/// Every right-hand side but the gadgets' is zero.
+struct PsiShapedSystem {
+  LinearSystem system;
+  LinearExpr objective;
+  std::vector<int> cc;  // The c_i unknowns.
+};
+
+PsiShapedSystem RandomPsiShapedSystem(Rng* rng) {
+  PsiShapedSystem psi;
+  const int classes = rng->NextInt(1, 4);
+  const int attributes = rng->NextInt(1, 6);
+  for (int i = 0; i < classes; ++i) psi.cc.push_back(psi.system.AddVariable());
+  std::vector<LinearExpr> out(classes);
+  std::vector<LinearExpr> in(classes);
+  for (int k = 0; k < attributes; ++k) {
+    const int a = psi.system.AddVariable();
+    out[rng->NextInt(0, classes - 1)].Add(a, Rational(1));
+    in[rng->NextInt(0, classes - 1)].Add(a, Rational(1));
+  }
+  auto bound_rows = [&](const LinearExpr& sum, int c) {
+    const int min = rng->NextInt(0, 3);
+    const int max = rng->NextInt(-1, 3);  // -1: infinite.
+    if (min > 0) {
+      LinearConstraint lower;
+      lower.expr = sum;
+      lower.expr.Add(c, Rational(-min));
+      lower.relation = Relation::kGreaterEqual;
+      psi.system.AddConstraint(std::move(lower));
+    }
+    if (max >= 0) {
+      LinearConstraint upper;
+      upper.expr = sum;
+      upper.expr.Add(c, Rational(-max));
+      upper.relation = Relation::kLessEqual;
+      psi.system.AddConstraint(std::move(upper));
+    }
+  };
+  for (int i = 0; i < classes; ++i) {
+    bound_rows(out[i], psi.cc[i]);
+    bound_rows(in[i], psi.cc[i]);
+  }
+  for (int i = 0; i < classes; ++i) {
+    const int t = psi.system.AddVariable();
+    psi.system.AddConstraint(
+        Make({{t, 1}, {psi.cc[i], -1}}, Relation::kLessEqual, 0));
+    psi.system.AddConstraint(Make({{t, 1}}, Relation::kLessEqual, 1));
+    psi.objective.Add(t, Rational(1));
+  }
+  return psi;
+}
+
+void ExpectSameSolve(const LpResult& actual, const LpResult& expected,
+                     const std::string& context) {
+  EXPECT_EQ(actual.outcome, expected.outcome) << context;
+  EXPECT_EQ(actual.objective, expected.objective) << context;
+  EXPECT_EQ(actual.values, expected.values) << context;
+  EXPECT_EQ(actual.pivots, expected.pivots) << context;
+}
+
+TEST(SimplexEntryRuleTest, HomogeneousLowerRowCostsNoPhaseOnePivot) {
+  // a - 2c >= 0 and a - 3c <= 0 (c's out-degree in [2, 3]), a - c <= 0
+  // (in-degree at most 1), support gadget t <= c, t <= 1: the only
+  // homogeneous >= row must enter on its slack in every kernel.
+  LinearSystem system;
+  const int c = system.AddVariable();
+  const int a = system.AddVariable();
+  const int t = system.AddVariable();
+  system.AddConstraint(Make({{a, 1}, {c, -2}}, Relation::kGreaterEqual, 0));
+  system.AddConstraint(Make({{a, 1}, {c, -3}}, Relation::kLessEqual, 0));
+  system.AddConstraint(Make({{a, 1}, {c, -1}}, Relation::kLessEqual, 0));
+  system.AddConstraint(Make({{t, 1}, {c, -1}}, Relation::kLessEqual, 0));
+  system.AddConstraint(Make({{t, 1}}, Relation::kLessEqual, 1));
+  LinearExpr objective;
+  objective.Add(t, Rational(1));
+  const LinearSystem twin = WithHomogeneousRowsNegated(system);
+
+  for (SimplexKernel kernel :
+       {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
+        SimplexKernel::kDenseScalar}) {
+    SimplexSolver::Options options;
+    options.kernel = kernel;
+    SimplexSolver solver(options);
+    // x = 0 is feasible and, with no artificial, there is no phase 1.
+    auto feasible = solver.CheckFeasible(system);
+    ASSERT_TRUE(feasible.ok());
+    EXPECT_EQ(feasible->outcome, LpOutcome::kOptimal);
+    EXPECT_EQ(feasible->pivots, 0u) << SimplexKernelToString(kernel);
+
+    auto lower = solver.Maximize(system, objective);
+    auto negated = solver.Maximize(twin, objective);
+    ASSERT_TRUE(lower.ok());
+    ASSERT_TRUE(negated.ok());
+    // c can only be supported at 0: out-degree >= 2 > in-degree <= 1.
+    EXPECT_EQ(lower->objective, Rational(0));
+    ExpectSameSolve(*lower, *negated, SimplexKernelToString(kernel));
+  }
+}
+
+/// ResumeMaximize applies the rule to an appended row whose eliminated
+/// right-hand side is 0: the Ψ delta's own bound rows (over new unknowns
+/// only) are exactly such rows. A resume appending the >= rows must walk
+/// the same pivots to the same vertex as one appending their negated <=
+/// twins.
+TEST(SimplexEntryRuleTest, ResumedHomogeneousLowerRowsMatchNegatedTwins) {
+  Rng rng(1105545);
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    PsiShapedSystem psi = RandomPsiShapedSystem(&rng);
+    SimplexSnapshot base;
+    auto solved =
+        SimplexSolver().SolveForSnapshot(psi.system, psi.objective, &base);
+    ASSERT_TRUE(solved.ok());
+    ASSERT_EQ(solved->outcome, LpOutcome::kOptimal);
+
+    // A delta shaped like a Ψ delta: new class c' and attribute a', a'
+    // also extends an old class's bound rows, bound rows of c' over new
+    // unknowns (and optionally an old attribute), c''s support gadget.
+    SimplexDelta delta;
+    delta.num_new_variables = 3;
+    const int c = base.num_variables();
+    const int a = c + 1;
+    const int t = c + 2;
+    const size_t rows = psi.system.constraints().size();
+    delta.row_extensions.push_back(
+        {static_cast<size_t>(rng.NextInt(0, static_cast<int>(rows) - 1)), a,
+         Rational(1)});
+    LinearConstraint lower =
+        Make({{a, 1}, {c, -rng.NextInt(1, 3)}}, Relation::kGreaterEqual, 0);
+    if (rng.NextInt(0, 1) == 1) {
+      lower.expr.Add(rng.NextInt(0, c - 1), Rational(1));
+    }
+    delta.new_constraints.push_back(lower);
+    delta.new_constraints.push_back(
+        Make({{a, 1}, {c, -rng.NextInt(0, 3)}}, Relation::kLessEqual, 0));
+    delta.new_constraints.push_back(
+        Make({{t, 1}, {c, -1}}, Relation::kLessEqual, 0));
+    delta.new_constraints.push_back(Make({{t, 1}}, Relation::kLessEqual, 1));
+    SimplexDelta twin = delta;
+    twin.new_constraints[0] = Negated(lower);
+    LinearExpr objective = psi.objective;
+    objective.Add(t, Rational(1));
+
+    SimplexSnapshot lower_snapshot = base;
+    SimplexSnapshot negated_snapshot = base;
+    auto lower_result =
+        SimplexSolver().ResumeMaximize(&lower_snapshot, delta, objective);
+    auto negated_result =
+        SimplexSolver().ResumeMaximize(&negated_snapshot, twin, objective);
+    ASSERT_TRUE(lower_result.ok());
+    ASSERT_TRUE(negated_result.ok());
+    ExpectSameSolve(*lower_result, *negated_result, psi.system.ToString());
+    // Only the recorded flip of the appended row tells the two apart.
+    EXPECT_EQ(lower_snapshot.basis, negated_snapshot.basis);
+    EXPECT_EQ(lower_snapshot.rhs, negated_snapshot.rhs);
+    ASSERT_EQ(lower_snapshot.rows.size(), negated_snapshot.rows.size());
+    for (size_t r = 0; r < lower_snapshot.rows.size(); ++r) {
+      const auto& lower_entries = lower_snapshot.rows[r].entries();
+      const auto& negated_entries = negated_snapshot.rows[r].entries();
+      ASSERT_EQ(lower_entries.size(), negated_entries.size());
+      for (size_t e = 0; e < lower_entries.size(); ++e) {
+        EXPECT_EQ(lower_entries[e].col, negated_entries[e].col);
+        EXPECT_EQ(lower_entries[e].value, negated_entries[e].value);
+      }
+    }
+  }
+}
+
+TEST(SimplexEntryRuleTest, FarkasCertificateMapsNegatedHomogeneousRows) {
+  // x - 2y >= 0 enters negated; with y >= 1 and x <= 1 the system is
+  // infeasible, and the refutation needs the homogeneous row: any valid
+  // certificate must weigh it, with the sign of the ORIGINAL >= row.
+  LinearSystem system;
+  const int x = system.AddVariable();
+  const int y = system.AddVariable();
+  system.AddConstraint(Make({{x, 1}, {y, -2}}, Relation::kGreaterEqual, 0));
+  system.AddConstraint(Make({{y, 1}}, Relation::kGreaterEqual, 1));
+  system.AddConstraint(Make({{x, 1}}, Relation::kLessEqual, 1));
+  SimplexSolver::Options options;
+  options.extract_certificate = true;
+  auto result = SimplexSolver(options).CheckFeasible(system);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->outcome, LpOutcome::kInfeasible);
+  ASSERT_TRUE(result->infeasibility_certificate.has_value());
+  const InfeasibilityCertificate& certificate =
+      *result->infeasibility_certificate;
+  EXPECT_TRUE(ValidateInfeasibilityCertificate(system, certificate));
+  EXPECT_TRUE(certificate.row_multipliers[0].is_positive());
+}
+
+/// Property: UNSAT-probe-shaped systems — a Ψ-shaped system without
+/// gadgets plus Σ c >= 1 over some classes — that are infeasible yield a
+/// certificate that validates against the original (un-negated) rows.
+TEST(SimplexEntryRuleTest, ProbeCertificatesValidateAgainstOriginalRows) {
+  Rng rng(1994);
+  int infeasible = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    PsiShapedSystem psi = RandomPsiShapedSystem(&rng);
+    LinearSystem probe;
+    for (int j = 0; j < psi.system.num_variables(); ++j) probe.AddVariable();
+    // Keep the bound rows, drop the gadgets (they come last, two per c).
+    const size_t bound_rows =
+        psi.system.constraints().size() - 2 * psi.cc.size();
+    for (size_t r = 0; r < bound_rows; ++r) {
+      probe.AddConstraint(psi.system.constraints()[r]);
+    }
+    LinearConstraint populated;
+    for (int c : psi.cc) {
+      if (rng.NextInt(0, 1) == 1) populated.expr.Add(c, Rational(1));
+    }
+    if (populated.expr.empty()) populated.expr.Add(psi.cc[0], Rational(1));
+    populated.relation = Relation::kGreaterEqual;
+    populated.rhs = Rational(1);
+    probe.AddConstraint(populated);
+
+    SimplexSolver::Options options;
+    options.extract_certificate = true;
+    auto result = SimplexSolver(options).CheckFeasible(probe);
+    ASSERT_TRUE(result.ok());
+    if (result->outcome == LpOutcome::kOptimal) {
+      EXPECT_TRUE(probe.IsSatisfiedBy(result->values)) << probe.ToString();
+      continue;
+    }
+    ++infeasible;
+    ASSERT_TRUE(result->infeasibility_certificate.has_value());
+    EXPECT_TRUE(ValidateInfeasibilityCertificate(
+        probe, *result->infeasibility_certificate))
+        << probe.ToString();
+  }
+  EXPECT_GT(infeasible, 20);
+}
+
+/// Property: on Ψ-shaped systems, where half of the bound rows are
+/// homogeneous >= rows (KernelsAreBitIdentical's generator draws such a
+/// row about once in 50), the three kernels stay bit-identical, and each
+/// walks the same pivots to the same vertex as on the twin system written
+/// with pre-negated <= rows.
+TEST(SimplexProperty, KernelsAreBitIdenticalOnPsiShapedSystems) {
+  Rng rng(3303);
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    PsiShapedSystem psi = RandomPsiShapedSystem(&rng);
+    const LinearSystem twin = WithHomogeneousRowsNegated(psi.system);
+    auto sparse = SimplexSolver().Maximize(psi.system, psi.objective);
+    ASSERT_TRUE(sparse.ok());
+    ASSERT_EQ(sparse->outcome, LpOutcome::kOptimal);
+    for (SimplexKernel kernel :
+         {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
+          SimplexKernel::kDenseScalar}) {
+      SimplexSolver::Options options;
+      options.kernel = kernel;
+      SimplexSolver solver(options);
+      auto result = solver.Maximize(psi.system, psi.objective);
+      auto negated = solver.Maximize(twin, psi.objective);
+      ASSERT_TRUE(result.ok());
+      ASSERT_TRUE(negated.ok());
+      const std::string context = std::string(SimplexKernelToString(kernel)) +
+                                  "\n" + psi.system.ToString();
+      ExpectSameSolve(*result, *sparse, context);
+      EXPECT_EQ(result->tableau_nonzeros, sparse->tableau_nonzeros)
+          << context;
+      ExpectSameSolve(*negated, *result, context);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace car
