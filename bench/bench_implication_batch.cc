@@ -28,79 +28,10 @@
 #include "reasoner/incremental.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
-
-/// A deterministic batch of `count` distinct implication queries mixing
-/// every query kind, drawn from the schema's classes/attributes/
-/// relations.
-std::vector<ImplicationQuery> MakeBatch(const Schema& schema, Rng* rng,
-                                        int count) {
-  std::vector<ImplicationQuery> queries;
-  std::set<std::string> seen;
-  int attempts = 0;
-  while (static_cast<int>(queries.size()) < count &&
-         attempts < count * 64) {
-    ++attempts;
-    ImplicationQuery query;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        query.kind = ImplicationQuery::Kind::kIsa;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.formula = ClassFormula::OfClass(static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes())));
-        break;
-      case 1:
-        query.kind = ImplicationQuery::Kind::kDisjoint;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.other = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        bool min = rng->NextBelow(2) == 0;
-        query.kind = min ? ImplicationQuery::Kind::kMinCardinality
-                         : ImplicationQuery::Kind::kMaxCardinality;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        AttributeId attribute = static_cast<AttributeId>(
-            rng->NextBelow(schema.num_attributes()));
-        query.term = rng->NextBelow(4) == 0
-                         ? AttributeTerm::Inverse(attribute)
-                         : AttributeTerm::Direct(attribute);
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        query.kind = rng->NextBelow(2) == 0
-                         ? ImplicationQuery::Kind::kMinParticipation
-                         : ImplicationQuery::Kind::kMaxParticipation;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.relation = relation;
-        query.role = definition->roles[rng->NextBelow(
-            definition->roles.size())];
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-    }
-    // Distinct queries only: the tentpole claim is about deltas and warm
-    // starts, not about the memo absorbing duplicates.
-    std::string key = IncrementalSession::CanonicalQueryKey(query);
-    if (seen.insert(std::move(key)).second) {
-      queries.push_back(std::move(query));
-    }
-  }
-  return queries;
-}
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -171,9 +102,12 @@ int Main(int argc, char** argv) {
                         : GenerateClusteredSchema(&schema_rng,
                                                   cell.clustered_params);
     for (int batch_size : batch_sizes) {
+      // Distinct queries only: the claim is about deltas and warm
+      // starts, not about the memo absorbing duplicates.
       Rng query_rng(1000 + batch_size);
       std::vector<ImplicationQuery> queries =
-          MakeBatch(schema, &query_rng, batch_size);
+          GenerateImplicationBatch(schema, &query_rng, batch_size,
+                                   /*distinct=*/true);
 
       ReasonerOptions scratch_options;
       scratch_options.num_threads = num_threads;

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,76 +25,10 @@
 #include "reasoner/incremental.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
-
-/// A deterministic batch of `count` distinct implication queries mixing
-/// every query kind (the bench_implication_batch generator).
-std::vector<ImplicationQuery> MakeBatch(const Schema& schema, Rng* rng,
-                                        int count) {
-  std::vector<ImplicationQuery> queries;
-  std::set<std::string> seen;
-  int attempts = 0;
-  while (static_cast<int>(queries.size()) < count &&
-         attempts < count * 64) {
-    ++attempts;
-    ImplicationQuery query;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        query.kind = ImplicationQuery::Kind::kIsa;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.formula = ClassFormula::OfClass(static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes())));
-        break;
-      case 1:
-        query.kind = ImplicationQuery::Kind::kDisjoint;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.other = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        bool min = rng->NextBelow(2) == 0;
-        query.kind = min ? ImplicationQuery::Kind::kMinCardinality
-                         : ImplicationQuery::Kind::kMaxCardinality;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        AttributeId attribute = static_cast<AttributeId>(
-            rng->NextBelow(schema.num_attributes()));
-        query.term = rng->NextBelow(4) == 0
-                         ? AttributeTerm::Inverse(attribute)
-                         : AttributeTerm::Direct(attribute);
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        query.kind = rng->NextBelow(2) == 0
-                         ? ImplicationQuery::Kind::kMinParticipation
-                         : ImplicationQuery::Kind::kMaxParticipation;
-        query.class_id = static_cast<ClassId>(
-            rng->NextBelow(schema.num_classes()));
-        query.relation = relation;
-        query.role = definition->roles[rng->NextBelow(
-            definition->roles.size())];
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-    }
-    std::string key = IncrementalSession::CanonicalQueryKey(query);
-    if (seen.insert(std::move(key)).second) {
-      queries.push_back(std::move(query));
-    }
-  }
-  return queries;
-}
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -180,7 +113,8 @@ int Main(int argc, char** argv) {
     for (int batch_size : batch_sizes) {
       Rng query_rng(1000 + batch_size);
       std::vector<ImplicationQuery> queries =
-          MakeBatch(schema, &query_rng, batch_size);
+          GenerateImplicationBatch(schema, &query_rng, batch_size,
+                                   /*distinct=*/true);
 
       ReasonerOptions oracle_options;
       oracle_options.num_threads = num_threads;

@@ -49,10 +49,10 @@ struct AttributeTerm {
 struct AttributeSpec {
   AttributeTerm term;
   Cardinality cardinality;
-  ClassFormula range;
+  ClassFormula range = ClassFormula::True();
   /// Where the spec line starts in the source text (unknown if built
   /// programmatically).
-  SourceSpan span;
+  SourceSpan span{};
 };
 
 /// One line of the participates-in part of a class definition:
@@ -64,7 +64,7 @@ struct ParticipationSpec {
   RoleId role = kInvalidId;
   Cardinality cardinality;
   /// Where the spec line starts in the source text.
-  SourceSpan span;
+  SourceSpan span{};
 };
 
 /// A class definition (paper, Section 2.2): isa class-formula, attribute

@@ -131,6 +131,26 @@ Status Schema::ValidateFormula(const ClassFormula& formula,
   return Status::Ok();
 }
 
+Status Schema::ValidateRoleOf(RelationId relation, RoleId role) const {
+  if (relation < 0 || relation >= num_relations()) {
+    return NotFound(StrCat("relation id ", relation, " out of range"));
+  }
+  const RelationDefinition* definition = relation_definition(relation);
+  if (definition == nullptr) {
+    return FailedPrecondition(
+        StrCat("relation '", RelationName(relation), "' is never defined"));
+  }
+  if (role < 0 || role >= num_roles()) {
+    return NotFound(StrCat("role id ", role, " out of range"));
+  }
+  if (definition->RoleIndex(role) < 0) {
+    return NotFound(StrCat("role '", RoleName(role),
+                           "' is not a role of relation '",
+                           RelationName(relation), "'"));
+  }
+  return Status::Ok();
+}
+
 Status Schema::Validate() const {
   for (const ClassDefinition& definition : class_definitions_) {
     const std::string& name = ClassName(definition.class_id);
@@ -158,22 +178,11 @@ Status Schema::Validate() const {
 
     std::set<std::pair<RelationId, RoleId>> seen_participations;
     for (const ParticipationSpec& spec : definition.participations) {
-      if (spec.relation < 0 || spec.relation >= num_relations()) {
-        return NotFound(StrCat("relation id ", spec.relation,
-                               " out of range in class ", name));
-      }
-      const RelationDefinition* relation =
-          relation_definition(spec.relation);
-      if (relation == nullptr) {
-        return FailedPrecondition(
-            StrCat("class ", name, " participates in undefined relation '",
-                   RelationName(spec.relation), "'"));
-      }
-      if (relation->RoleIndex(spec.role) < 0) {
-        return NotFound(StrCat("role '", RoleName(spec.role),
-                               "' is not a role of relation '",
-                               RelationName(spec.relation),
-                               "' (participation in class ", name, ")"));
+      Status role_of = ValidateRoleOf(spec.relation, spec.role);
+      if (!role_of.ok()) {
+        return Status(role_of.code(),
+                      StrCat(role_of.message(), " (participation in class ",
+                             name, ")"));
       }
       if (!seen_participations.emplace(spec.relation, spec.role).second) {
         return InvalidArgument(StrCat(
@@ -212,10 +221,14 @@ Status Schema::Validate() const {
       }
       std::set<RoleId> clause_roles;
       for (const RoleLiteral& literal : clause.literals) {
+        if (literal.role < 0 || literal.role >= num_roles()) {
+          return NotFound(StrCat("role-clause of relation ", RelationName(id),
+                                 " mentions role id ", literal.role,
+                                 " out of range"));
+        }
         if (definition->RoleIndex(literal.role) < 0) {
           return NotFound(StrCat("role-clause of relation ", RelationName(id),
-                                 " mentions role '",
-                                 RoleName(literal.role),
+                                 " mentions role '", RoleName(literal.role),
                                  "' which is not a role of the relation"));
         }
         if (!clause_roles.insert(literal.role).second) {

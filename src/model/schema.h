@@ -84,6 +84,12 @@ class Schema {
   /// Largest relation arity (0 if no relations).
   int MaxArity() const;
 
+  /// Checks that `relation` is in range and defined and that `role` is
+  /// one of its roles: the well-formedness of a participation R[U].
+  /// NotFound for an out-of-range relation or role id or a role of
+  /// another relation, FailedPrecondition for an undefined relation.
+  Status ValidateRoleOf(RelationId relation, RoleId role) const;
+
   /// Checks structural well-formedness: unique attribute terms and
   /// participation targets per class definition, declared roles, distinct
   /// roles per relation and per role-clause, every relation defined, every

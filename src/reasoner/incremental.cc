@@ -7,7 +7,6 @@
 #include "analysis/subschema.h"
 #include "base/hashing.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "frontend/printer.h"
 #include "persist/snapshot_format.h"
 #include "reasoner/prefilter.h"
@@ -26,48 +25,13 @@ void MaxRelaxed(std::atomic<uint64_t>* counter, uint64_t value) {
   }
 }
 
-/// The bound-shape shortcuts the from-scratch Implies* methods answer
-/// before building anything. Mirrors their validation order exactly:
-/// a minimum of 0 is true even for an out-of-range attribute (the
-/// from-scratch path returns before validating), while an infinite
-/// maximum cardinality is only a shortcut when the attribute id is
-/// valid (the from-scratch path validates first).
-std::optional<bool> TrivialAnswer(const Schema& schema,
-                                  const ImplicationQuery& query) {
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kMinCardinality:
-    case ImplicationQuery::Kind::kMinParticipation:
-      if (query.bound == 0) return true;
-      return std::nullopt;
-    case ImplicationQuery::Kind::kMaxCardinality:
-      if (query.term.attribute >= 0 &&
-          query.term.attribute < schema.num_attributes() &&
-          query.bound == Cardinality::kInfinity) {
-        return true;
-      }
-      return std::nullopt;
-    case ImplicationQuery::Kind::kMaxParticipation:
-      if (query.bound == Cardinality::kInfinity) return true;
-      return std::nullopt;
-    default:
-      return std::nullopt;
-  }
-}
-
 }  // namespace
 
 IncrementalSession::IncrementalSession(const Schema* schema,
                                        ReasonerOptions options)
     : schema_(schema), options_(std::move(options)) {
   CAR_CHECK(schema != nullptr);
-  if (options_.num_threads != 1) {
-    options_.expansion.num_threads = options_.num_threads;
-    options_.solver.num_threads = options_.num_threads;
-  }
-  if (options_.exec != nullptr) {
-    options_.expansion.exec = options_.exec;
-    options_.solver.exec = options_.exec;
-  }
+  FanOutToStages(&options_);
 }
 
 std::string IncrementalSession::CanonicalQueryKey(
@@ -218,25 +182,8 @@ Status IncrementalSession::EnsureLazyBase() {
   return Status::Ok();
 }
 
-Result<bool> IncrementalSession::AuxSatisfiable(
-    const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-    const std::vector<ParticipationSpec>& participations) {
-  // Identical auxiliary-schema construction to the from-scratch
-  // reasoner, so validation errors (bad ids in specs or formulas) are
-  // byte-identical.
-  Schema extended = *schema_;
-  std::string name = "__car_query";
-  int suffix = 0;
-  while (extended.LookupClass(name) != kInvalidId) {
-    name = StrCat("__car_query_", ++suffix);
-  }
-  ClassId aux = extended.InternClass(name);
-  ClassDefinition* definition = extended.mutable_class_definition(aux);
-  definition->isa = isa;
-  definition->attributes = attributes;
-  definition->participations = participations;
-  CAR_RETURN_IF_ERROR(extended.Validate());
-
+Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
+                                                ClassId aux) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   // Tier-2: when the probe's dependency closure covers at most a quarter
   // of the schema, solve it exactly on the projected sub-schema instead
@@ -331,96 +278,12 @@ Result<bool> IncrementalSession::AuxSatisfiable(
   return solution.IsClassSatisfiable(aux);
 }
 
-Result<bool> IncrementalSession::QueryUncached(const ImplicationQuery& query) {
-  // Mirrors Reasoner::Implies* decision-for-decision (validation order
-  // included) with AuxSatisfiable swapped for the incremental probe.
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kIsa: {
-      if (query.class_id < 0 || query.class_id >= schema_->num_classes()) {
-        return NotFound(StrCat("class id ", query.class_id, " out of range"));
-      }
-      for (const ClassClause& clause : query.formula.clauses()) {
-        ClassFormula auxiliary_isa = ClassFormula::OfClass(query.class_id);
-        for (const ClassLiteral& literal : clause.literals()) {
-          auxiliary_isa.AddClause(ClassClause::Of(literal.Complement()));
-        }
-        CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                             AuxSatisfiable(auxiliary_isa, {}, {}));
-        if (satisfiable) return false;
-      }
-      return true;
-    }
-    case ImplicationQuery::Kind::kDisjoint: {
-      if (query.class_id < 0 || query.class_id >= schema_->num_classes() ||
-          query.other < 0 || query.other >= schema_->num_classes()) {
-        return NotFound("class id out of range");
-      }
-      ClassFormula both = ClassFormula::OfClass(query.class_id);
-      both.AndWith(ClassFormula::OfClass(query.other));
-      CAR_ASSIGN_OR_RETURN(bool satisfiable, AuxSatisfiable(both, {}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMinCardinality: {
-      if (query.bound == 0) return true;
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema_->num_attributes()) {
-        return NotFound(
-            StrCat("attribute id ", query.term.attribute, " out of range"));
-      }
-      AttributeSpec spec;
-      spec.term = query.term;
-      spec.cardinality = Cardinality(0, query.bound - 1);
-      spec.range = ClassFormula::True();
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {spec}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMaxCardinality: {
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema_->num_attributes()) {
-        return NotFound(
-            StrCat("attribute id ", query.term.attribute, " out of range"));
-      }
-      if (query.bound == Cardinality::kInfinity) return true;
-      AttributeSpec spec;
-      spec.term = query.term;
-      spec.cardinality = Cardinality::AtLeast(query.bound + 1);
-      spec.range = ClassFormula::True();
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {spec}, {}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMinParticipation: {
-      if (query.bound == 0) return true;
-      ParticipationSpec spec;
-      spec.relation = query.relation;
-      spec.role = query.role;
-      spec.cardinality = Cardinality(0, query.bound - 1);
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {}, {spec}));
-      return !satisfiable;
-    }
-    case ImplicationQuery::Kind::kMaxParticipation: {
-      if (query.bound == Cardinality::kInfinity) return true;
-      ParticipationSpec spec;
-      spec.relation = query.relation;
-      spec.role = query.role;
-      spec.cardinality = Cardinality::AtLeast(query.bound + 1);
-      CAR_ASSIGN_OR_RETURN(
-          bool satisfiable,
-          AuxSatisfiable(ClassFormula::OfClass(query.class_id), {}, {spec}));
-      return !satisfiable;
-    }
-  }
-  return Internal("unknown implication query kind");
-}
-
 Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     const std::vector<ImplicationQuery>& queries) {
   ExecContext* exec = options_.exec;
+  for (const ImplicationQuery& query : queries) {
+    CAR_RETURN_IF_ERROR(ValidateImplicationQuery(*schema_, query));
+  }
   Status base = EnsureBase();
   if (!base.ok()) {
     // Match the from-scratch batch: a trip anywhere in the batch is
@@ -431,8 +294,9 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     return base;
   }
 
-  // Serial resolve pass: bound-shape shortcuts, memo hits, and
-  // deduplication of the remaining queries by canonical key.
+  // Serial resolve pass over the validated queries: trivial bound shapes,
+  // memo hits, tier-0 certificates, and deduplication of the remaining
+  // queries by canonical key.
   struct Slot {
     bool resolved = false;
     bool answer = false;
@@ -443,9 +307,9 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
   std::vector<std::string> unique_keys;
   std::map<std::string, int> key_to_unique;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (std::optional<bool> trivial = TrivialAnswer(*schema_, queries[i])) {
+    if (IsTriviallyImplied(queries[i])) {
       slots[i].resolved = true;
-      slots[i].answer = *trivial;
+      slots[i].answer = true;
       ++trivial_;
       if (exec != nullptr) exec->CountQueries(1);
       continue;
@@ -463,9 +327,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     }
     // Tier-0: sound certificate lookup on the static closure, the first
     // time a query shape is seen; the answer is memoized so repeats stay
-    // plain memo hits. Declines (nullopt) fall through to the solver;
-    // queries the full path would reject always decline, so error
-    // statuses stay identical.
+    // plain memo hits. Declines (nullopt) fall through to the solver.
     if (schema_analysis_.has_value()) {
       if (std::optional<bool> certified = ClosurePrefilterAnswer(
               *schema_, *schema_analysis_, queries[i])) {
@@ -491,51 +353,32 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     slots[i].unique_index = entry->second;
   }
 
-  // Parallel evaluation of the deduplicated misses; per-slot outcomes
-  // keep the result order-insensitive, like the from-scratch batch.
-  std::vector<Result<bool>> outcomes(unique.size(), Result<bool>(false));
+  // The deduplicated misses run through the shared batch loop with this
+  // session's probe ladder as the oracle. Its first error in unique order
+  // is the first in original query order too: unique indices follow
+  // first occurrence.
+  std::vector<bool> decided;
   if (!unique.empty()) {
-    ParallelForOptions parallel;
-    parallel.num_threads = options_.num_threads;
-    parallel.cancel = exec;
-    ParallelFor(unique.size(), parallel,
-                [this, exec, &unique, &outcomes](size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    Status charge = GovChargeWork(exec, 1, "implication");
-                    if (!charge.ok()) {
-                      outcomes[i] = std::move(charge);
-                      return;
-                    }
-                    outcomes[i] = QueryUncached(*unique[i]);
-                    if (exec != nullptr) exec->CountQueries(1);
-                  }
-                });
-    if (exec != nullptr && exec->tripped()) {
-      exec->OverridePhaseOnTrip("implication");
-    }
-    // Skipped chunks leave default-false slots; surface the trip.
-    CAR_RETURN_IF_ERROR(GovCheck(exec, "implication"));
-  }
-
-  // First error in ORIGINAL query order, matching the from-scratch
-  // batch; duplicates share their unique execution's error.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!slots[i].resolved) {
-      CAR_RETURN_IF_ERROR(outcomes[slots[i].unique_index].status());
-    }
+    CAR_ASSIGN_OR_RETURN(
+        decided,
+        DecideImplicationBatch(
+            *schema_, unique,
+            [this](const Schema& extended, ClassId aux) {
+              return AuxSatisfiable(extended, aux);
+            },
+            options_.num_threads, exec));
   }
   // Only successful answers are memoized; a tripped or failed batch
   // recomputes everything next time.
   for (size_t u = 0; u < unique.size(); ++u) {
-    memo_.emplace(unique_keys[u], outcomes[u].value());
+    memo_.emplace(unique_keys[u], decided[u]);
   }
   queries_ += queries.size();
   std::vector<bool> answers;
   answers.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    answers.push_back(slots[i].resolved
-                          ? slots[i].answer
-                          : outcomes[slots[i].unique_index].value());
+    answers.push_back(slots[i].resolved ? slots[i].answer
+                                        : decided[slots[i].unique_index]);
   }
   return answers;
 }
@@ -549,11 +392,8 @@ Result<bool> IncrementalSession::RunImplicationQuery(
 }
 
 void IncrementalSession::set_exec(ExecContext* exec) {
-  // Mirrors the constructor's propagation: the expansion and solver
-  // stages each read their own exec pointer.
   options_.exec = exec;
-  options_.expansion.exec = exec;
-  options_.solver.exec = exec;
+  FanOutToStages(&options_);
 }
 
 uint64_t IncrementalSession::EstimatedMemoryBytes() const {

@@ -107,13 +107,15 @@ struct IncrementalStats {
 /// Ψ snapshot), built on the first lazy probe and shared read-only by
 /// every later one, so a probe solves only what it adds beyond it.
 ///
-/// Contract: answers (including error statuses for malformed queries)
-/// are bit-identical to Reasoner::RunImplicationBatch on the same
-/// schema, for every thread count, governed or not. Only the cost —
-/// governor work/byte charges, LP pivot counts — differs. Governed
-/// sessions observe the ExecContext cooperatively in every new code
-/// path and abort with the same first-trip LimitReport discipline as
-/// the from-scratch engine.
+/// Contract: both engines run the one reduction (DecideImplication) and
+/// differ only in its oracle, so answers — and, since every query is
+/// validated by ValidateImplicationQuery before anything else, the error
+/// statuses of malformed queries — are bit-identical to
+/// Reasoner::RunImplicationBatch on the same schema, for every thread
+/// count, governed or not. Only the cost — governor work/byte charges,
+/// LP pivot counts — differs. Governed sessions observe the ExecContext
+/// cooperatively in every new code path and abort with the same
+/// first-trip LimitReport discipline as the from-scratch engine.
 ///
 /// The schema is borrowed and may be mutated between calls: every batch
 /// starts by fingerprinting the schema (FNV-1a of its canonical printed
@@ -221,19 +223,13 @@ class IncrementalSession {
   /// the next call builds again.
   Status EnsureLazyBase();
 
-  /// Evaluates one query without consulting the memo. Mirrors the
-  /// decision structure of the corresponding Reasoner::Implies* method
-  /// exactly (validation order included), with the auxiliary-class
-  /// satisfiability checks routed through the incremental path.
-  Result<bool> QueryUncached(const ImplicationQuery& query);
-
-  /// Satisfiability of a fresh auxiliary class with the given
-  /// definition: delta-extend the base expansion and warm-start the Ψ
-  /// solve; falls back to the from-scratch build when the delta path
-  /// declines (kFailedPrecondition).
-  Result<bool> AuxSatisfiable(
-      const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-      const std::vector<ParticipationSpec>& participations);
+  /// The session's DecideImplication oracle: satisfiability of the
+  /// auxiliary class `aux` of `extended` (the base schema plus `aux`),
+  /// tried in order by a tier-2 sub-schema solve, the lazy engine,
+  /// the base expansion's delta with a warm-started Ψ solve, and a
+  /// from-scratch build when the delta path declines
+  /// (kFailedPrecondition).
+  Result<bool> AuxSatisfiable(const Schema& extended, ClassId aux);
 
   const Schema* schema_;
   ReasonerOptions options_;

@@ -199,8 +199,8 @@ Result<LazyOutcome> RunLazyExpansion(
     const SchemaAnalysis* analysis, const ExpansionOptions& expansion_options,
     const PsiSolverOptions& solver_options,
     const LazyExpansionOptions& lazy_options, const LazyBase* base) {
-  // Mirror the eager path's first failure mode (BuildExpansion validates
-  // too) so routing through the lazy engine never changes error statuses.
+  // Validate first, as BuildExpansion does, so routing through the lazy
+  // engine never changes error statuses.
   CAR_RETURN_IF_ERROR(schema.Validate());
 
   LazyOutcome out;

@@ -148,8 +148,8 @@ Result<LazyBase> BuildLazySessionBase(const Schema& schema,
 ///     reported. Coverage in a partial expansion implies coverage in the
 ///     full one (solutions zero-extend), so positive answers are exact.
 ///
-/// Returns an error only for governor trips and internal failures —
-/// mirroring the eager path's statuses so callers degrade identically.
+/// Returns an error only for governor trips and internal failures — the
+/// eager path's statuses, so callers degrade identically.
 /// `analysis` may be null (the engine then runs the static pass itself,
 /// lint off). Requires ExpansionOptions::strategy == kPruned; any other
 /// configuration returns an inconclusive outcome.

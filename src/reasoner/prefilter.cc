@@ -6,19 +6,6 @@ namespace car {
 
 namespace {
 
-bool ClassInRange(const Schema& schema, ClassId id) {
-  return id >= 0 && id < schema.num_classes();
-}
-
-bool FormulaIdsInRange(const Schema& schema, const ClassFormula& formula) {
-  for (const ClassClause& clause : formula.clauses()) {
-    for (const ClassLiteral& literal : clause.literals()) {
-      if (!ClassInRange(schema, literal.class_id)) return false;
-    }
-  }
-  return true;
-}
-
 bool StaticallyEmpty(const SchemaAnalysis& analysis, ClassId id) {
   return analysis.class_unsat[id] != 0;
 }
@@ -81,99 +68,46 @@ Cardinality InheritedParticipationBound(const Schema& schema,
   return bound;
 }
 
-/// Gate for the participation kinds, mirroring Schema::Validate on the
-/// probe's auxiliary spec: relation id in range, relation defined, role
-/// among its roles. Any failure means the full path errors — decline.
-bool ParticipationGate(const Schema& schema, const ImplicationQuery& query) {
-  if (!ClassInRange(schema, query.class_id)) return false;
-  if (query.relation < 0 || query.relation >= schema.num_relations()) {
-    return false;
-  }
-  const RelationDefinition* relation =
-      schema.relation_definition(query.relation);
-  return relation != nullptr && relation->RoleIndex(query.role) >= 0;
-}
-
 }  // namespace
 
 std::optional<bool> ClosurePrefilterAnswer(const Schema& schema,
                                            const SchemaAnalysis& analysis,
                                            const ImplicationQuery& query) {
+  // A statically empty class has every property, vacuously.
+  if (StaticallyEmpty(analysis, query.class_id)) return true;
+  Cardinality inherited;
   switch (query.kind) {
-    case ImplicationQuery::Kind::kIsa: {
-      if (!ClassInRange(schema, query.class_id)) return std::nullopt;
-      if (!FormulaIdsInRange(schema, query.formula)) return std::nullopt;
-      if (StaticallyEmpty(analysis, query.class_id)) return true;
+    case ImplicationQuery::Kind::kIsa:
       for (const ClassClause& clause : query.formula.clauses()) {
         if (!ClauseCertified(analysis, query.class_id, clause)) {
           return std::nullopt;
         }
       }
       return true;
-    }
-    case ImplicationQuery::Kind::kDisjoint: {
-      if (!ClassInRange(schema, query.class_id) ||
-          !ClassInRange(schema, query.other)) {
-        return std::nullopt;
-      }
+    case ImplicationQuery::Kind::kDisjoint:
       if (analysis.tables.AreDisjoint(query.class_id, query.other) ||
-          StaticallyEmpty(analysis, query.class_id) ||
           StaticallyEmpty(analysis, query.other)) {
         return true;
       }
       return std::nullopt;
-    }
-    case ImplicationQuery::Kind::kMinCardinality: {
-      // bound == 0 is the TrivialAnswer shortcut; leave it to that tier
-      // so the decision structure (and its validation-skipping shape)
-      // stays in one place.
-      if (query.bound == 0) return std::nullopt;
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema.num_attributes() ||
-          !ClassInRange(schema, query.class_id)) {
-        return std::nullopt;
-      }
-      if (StaticallyEmpty(analysis, query.class_id)) return true;
-      Cardinality inherited = InheritedAttributeBound(
-          schema, analysis.tables, query.class_id, query.term);
-      if (inherited.min() >= query.bound) return true;
-      return std::nullopt;
-    }
-    case ImplicationQuery::Kind::kMaxCardinality: {
-      if (query.term.attribute < 0 ||
-          query.term.attribute >= schema.num_attributes() ||
-          !ClassInRange(schema, query.class_id)) {
-        return std::nullopt;
-      }
-      if (query.bound == Cardinality::kInfinity) return true;
-      if (StaticallyEmpty(analysis, query.class_id)) return true;
-      Cardinality inherited = InheritedAttributeBound(
-          schema, analysis.tables, query.class_id, query.term);
-      if (inherited.max() <= query.bound) return true;
-      return std::nullopt;
-    }
-    case ImplicationQuery::Kind::kMinParticipation: {
-      if (query.bound == 0) return std::nullopt;
-      if (!ParticipationGate(schema, query)) return std::nullopt;
-      if (StaticallyEmpty(analysis, query.class_id)) return true;
-      Cardinality inherited =
-          InheritedParticipationBound(schema, analysis.tables,
-                                      query.class_id, query.relation,
-                                      query.role);
-      if (inherited.min() >= query.bound) return true;
-      return std::nullopt;
-    }
-    case ImplicationQuery::Kind::kMaxParticipation: {
-      if (!ParticipationGate(schema, query)) return std::nullopt;
-      if (query.bound == Cardinality::kInfinity) return true;
-      if (StaticallyEmpty(analysis, query.class_id)) return true;
-      Cardinality inherited =
-          InheritedParticipationBound(schema, analysis.tables,
-                                      query.class_id, query.relation,
-                                      query.role);
-      if (inherited.max() <= query.bound) return true;
-      return std::nullopt;
-    }
+    case ImplicationQuery::Kind::kMinCardinality:
+    case ImplicationQuery::Kind::kMaxCardinality:
+      inherited = InheritedAttributeBound(schema, analysis.tables,
+                                          query.class_id, query.term);
+      break;
+    case ImplicationQuery::Kind::kMinParticipation:
+    case ImplicationQuery::Kind::kMaxParticipation:
+      inherited = InheritedParticipationBound(schema, analysis.tables,
+                                              query.class_id, query.relation,
+                                              query.role);
+      break;
+  }
+  const bool minimum =
+      query.kind == ImplicationQuery::Kind::kMinCardinality ||
+      query.kind == ImplicationQuery::Kind::kMinParticipation;
+  if (minimum ? inherited.min() >= query.bound
+              : inherited.max() <= query.bound) {
+    return true;
   }
   return std::nullopt;
 }

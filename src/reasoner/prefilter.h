@@ -20,15 +20,10 @@ namespace car {
 /// a returned answer is bit-identical to the full reasoner's — the
 /// differential suite enforces this.
 ///
-/// Error transparency: the full path validates ids by building the
-/// auxiliary schema; this tier only answers when every id the full path
-/// would validate is in range (and, for participation kinds, the
-/// relation is defined and the role belongs to it), so queries that
-/// would error always fall through and surface the identical status.
-/// Note the asymmetric kIsa rule: the full path checks clauses
-/// sequentially and can error on a malformed later clause only after
-/// refuting an earlier one, so tier-0 requires *every* literal of
-/// *every* clause to be in range before certifying.
+/// Precondition: `query` passed ValidateImplicationQuery against
+/// `schema` and is not IsTriviallyImplied — the session's resolve pass
+/// settles both before consulting this tier, so every id indexes the
+/// analysis tables safely.
 std::optional<bool> ClosurePrefilterAnswer(const Schema& schema,
                                            const SchemaAnalysis& analysis,
                                            const ImplicationQuery& query);

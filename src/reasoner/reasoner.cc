@@ -73,7 +73,170 @@ Result<bool> AnyProbeFeasible(const PsiSystem& psi,
   return any;
 }
 
+/// The successor (participation) counts that violate a minimum or maximum
+/// query bound: at most bound-1 below a minimum, at least bound+1 above a
+/// maximum.
+Cardinality ViolatedBound(const ImplicationQuery& query) {
+  if (query.kind == ImplicationQuery::Kind::kMinCardinality ||
+      query.kind == ImplicationQuery::Kind::kMinParticipation) {
+    return Cardinality(0, query.bound - 1);
+  }
+  return Cardinality::AtLeast(query.bound + 1);
+}
+
+Status CheckClassId(const Schema& schema, ClassId id) {
+  if (id >= 0 && id < schema.num_classes()) return Status::Ok();
+  return NotFound(StrCat("class id ", id, " out of range"));
+}
+
 }  // namespace
+
+Status ValidateImplicationQuery(const Schema& schema,
+                                const ImplicationQuery& query) {
+  CAR_RETURN_IF_ERROR(CheckClassId(schema, query.class_id));
+  switch (query.kind) {
+    case ImplicationQuery::Kind::kIsa:
+      for (const ClassClause& clause : query.formula.clauses()) {
+        for (const ClassLiteral& literal : clause.literals()) {
+          CAR_RETURN_IF_ERROR(CheckClassId(schema, literal.class_id));
+        }
+      }
+      return Status::Ok();
+    case ImplicationQuery::Kind::kDisjoint:
+      return CheckClassId(schema, query.other);
+    case ImplicationQuery::Kind::kMinCardinality:
+    case ImplicationQuery::Kind::kMaxCardinality:
+      if (query.term.attribute < 0 ||
+          query.term.attribute >= schema.num_attributes()) {
+        return NotFound(
+            StrCat("attribute id ", query.term.attribute, " out of range"));
+      }
+      return Status::Ok();
+    case ImplicationQuery::Kind::kMinParticipation:
+    case ImplicationQuery::Kind::kMaxParticipation:
+      return schema.ValidateRoleOf(query.relation, query.role);
+  }
+  return Internal("unknown implication query kind");
+}
+
+bool IsTriviallyImplied(const ImplicationQuery& query) {
+  switch (query.kind) {
+    case ImplicationQuery::Kind::kMinCardinality:
+    case ImplicationQuery::Kind::kMinParticipation:
+      return query.bound == 0;
+    case ImplicationQuery::Kind::kMaxCardinality:
+    case ImplicationQuery::Kind::kMaxParticipation:
+      return query.bound == Cardinality::kInfinity;
+    default:
+      return false;
+  }
+}
+
+Result<bool> DecideImplication(const Schema& schema,
+                               const ImplicationQuery& query,
+                               const AuxSatisfiableFn& aux_satisfiable) {
+  if (IsTriviallyImplied(query)) return true;
+  // Satisfiability of a fresh auxiliary class with `definition`, added to
+  // a private copy of the schema.
+  auto satisfiable = [&schema, &aux_satisfiable](
+                         ClassDefinition definition) -> Result<bool> {
+    Schema extended = schema;
+    std::string name = "__car_query";
+    int suffix = 0;
+    while (extended.LookupClass(name) != kInvalidId) {
+      name = StrCat("__car_query_", ++suffix);
+    }
+    const ClassId aux = extended.InternClass(name);
+    definition.class_id = aux;
+    *extended.mutable_class_definition(aux) = std::move(definition);
+    return aux_satisfiable(extended, aux);
+  };
+  // A C-instance violating the queried property.
+  ClassDefinition violating;
+  violating.isa = ClassFormula::OfClass(query.class_id);
+  switch (query.kind) {
+    case ImplicationQuery::Kind::kIsa:
+      // C ⊑ γ1 ∧ ... ∧ γn iff C ⊑ γj for every clause. C ⊑ L1 ∨ ... ∨ Lm
+      // iff the auxiliary class (C ∧ ¬L1 ∧ ... ∧ ¬Lm) is unsatisfiable.
+      for (const ClassClause& clause : query.formula.clauses()) {
+        ClassDefinition violates_clause = violating;
+        for (const ClassLiteral& literal : clause.literals()) {
+          violates_clause.isa.AddClause(ClassClause::Of(literal.Complement()));
+        }
+        CAR_ASSIGN_OR_RETURN(bool refuted,
+                             satisfiable(std::move(violates_clause)));
+        if (refuted) return false;
+      }
+      return true;
+    case ImplicationQuery::Kind::kDisjoint:
+      violating.isa.AndWith(ClassFormula::OfClass(query.other));
+      break;
+    case ImplicationQuery::Kind::kMinCardinality:
+    case ImplicationQuery::Kind::kMaxCardinality:
+      violating.attributes.push_back(
+          {.term = query.term, .cardinality = ViolatedBound(query)});
+      break;
+    case ImplicationQuery::Kind::kMinParticipation:
+    case ImplicationQuery::Kind::kMaxParticipation:
+      violating.participations.push_back({.relation = query.relation,
+                                          .role = query.role,
+                                          .cardinality = ViolatedBound(query)});
+      break;
+    default:
+      return Internal("unknown implication query kind");
+  }
+  CAR_ASSIGN_OR_RETURN(bool refuted, satisfiable(std::move(violating)));
+  return !refuted;
+}
+
+Result<std::vector<bool>> DecideImplicationBatch(
+    const Schema& schema, const std::vector<const ImplicationQuery*>& queries,
+    const AuxSatisfiableFn& aux_satisfiable, int num_threads,
+    ExecContext* exec) {
+  // Queries are independent (each probe extends a private copy of the
+  // schema), so they run concurrently; answers land in per-query slots,
+  // making the result order-insensitive.
+  std::vector<Result<bool>> outcomes(queries.size(), Result<bool>(false));
+  ParallelForOptions parallel;
+  parallel.num_threads = num_threads;
+  parallel.cancel = exec;
+  ParallelFor(queries.size(), parallel, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Status charge = GovChargeWork(exec, 1, "implication");
+      if (!charge.ok()) {
+        outcomes[i] = std::move(charge);
+        return;
+      }
+      outcomes[i] = DecideImplication(schema, *queries[i], aux_satisfiable);
+      if (exec != nullptr) exec->CountQueries(1);
+    }
+  });
+  // Concurrent queries interleave pipeline phases, so the phase recorded
+  // at a trip would depend on the schedule; normalize it to the batch's
+  // own phase so tripped batches report identically for every thread
+  // count.
+  if (exec != nullptr && exec->tripped()) {
+    exec->OverridePhaseOnTrip("implication");
+  }
+  // Skipped chunks leave default-false slots; surface the trip instead.
+  CAR_RETURN_IF_ERROR(GovCheck(exec, "implication"));
+  std::vector<bool> answers;
+  answers.reserve(outcomes.size());
+  for (const Result<bool>& outcome : outcomes) {
+    CAR_RETURN_IF_ERROR(outcome.status());
+    answers.push_back(outcome.value());
+  }
+  return answers;
+}
+
+void FanOutToStages(ReasonerOptions* options) {
+  if (options->num_threads != 1) {
+    options->expansion.num_threads = options->num_threads;
+    options->solver.num_threads = options->num_threads;
+  }
+  options->expansion.exec = options->exec;
+  options->solver.exec = options->exec;
+}
 
 const char* VerdictToString(Verdict verdict) {
   switch (verdict) {
@@ -90,14 +253,7 @@ const char* VerdictToString(Verdict verdict) {
 Reasoner::Reasoner(const Schema* schema, ReasonerOptions options)
     : schema_(schema), options_(std::move(options)) {
   CAR_CHECK(schema != nullptr);
-  if (options_.num_threads != 1) {
-    options_.expansion.num_threads = options_.num_threads;
-    options_.solver.num_threads = options_.num_threads;
-  }
-  if (options_.exec != nullptr) {
-    options_.expansion.exec = options_.exec;
-    options_.solver.exec = options_.exec;
-  }
+  FanOutToStages(&options_);
 }
 
 Reasoner::~Reasoner() = default;
@@ -242,134 +398,87 @@ Result<SatReport> Reasoner::CheckSchema() {
   return report;
 }
 
-Result<bool> Reasoner::AuxiliaryClassSatisfiable(
-    const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-    const std::vector<ParticipationSpec>& participations) {
-  Schema extended = *schema_;
-  // Pick a fresh name for the auxiliary class.
-  std::string name = "__car_query";
-  int suffix = 0;
-  while (extended.LookupClass(name) != kInvalidId) {
-    name = StrCat("__car_query_", ++suffix);
-  }
-  ClassId aux = extended.InternClass(name);
-  ClassDefinition* definition = extended.mutable_class_definition(aux);
-  definition->isa = isa;
-  definition->attributes = attributes;
-  definition->participations = participations;
-  CAR_RETURN_IF_ERROR(extended.Validate());
+AuxSatisfiableFn Reasoner::FromScratchOracle() const {
+  return [this](const Schema& extended, ClassId aux) -> Result<bool> {
+    if (options_.lazy_expansion) {
+      CAR_ASSIGN_OR_RETURN(
+          LazyOutcome lazy,
+          RunLazyExpansion(extended, {aux}, nullptr, options_.expansion,
+                           options_.solver, options_.lazy));
+      if (lazy.conclusive) {
+        return static_cast<bool>(lazy.class_satisfiable[aux]);
+      }
+      // Inconclusive: fall through to the eager probe.
+    }
+    CAR_ASSIGN_OR_RETURN(Expansion expansion,
+                         BuildExpansion(extended, options_.expansion));
+    CAR_ASSIGN_OR_RETURN(PsiSolution solution,
+                         SolvePsi(expansion, options_.solver));
+    return solution.IsClassSatisfiable(aux);
+  };
+}
 
-  if (options_.lazy_expansion) {
-    CAR_ASSIGN_OR_RETURN(
-        LazyOutcome lazy,
-        RunLazyExpansion(extended, {aux}, nullptr, options_.expansion,
-                         options_.solver, options_.lazy));
-    if (lazy.conclusive) return static_cast<bool>(lazy.class_satisfiable[aux]);
-    // Inconclusive: fall through to the eager probe.
-  }
-
-  CAR_ASSIGN_OR_RETURN(Expansion expansion,
-                       BuildExpansion(extended, options_.expansion));
-  CAR_ASSIGN_OR_RETURN(PsiSolution solution,
-                       SolvePsi(expansion, options_.solver));
-  return solution.IsClassSatisfiable(aux);
+Result<bool> Reasoner::DecideFromScratch(const ImplicationQuery& query) {
+  CAR_RETURN_IF_ERROR(ValidateImplicationQuery(*schema_, query));
+  return DecideImplication(*schema_, query, FromScratchOracle());
 }
 
 Result<bool> Reasoner::ImpliesIsa(ClassId subclass,
                                   const ClassFormula& formula) {
-  if (subclass < 0 || subclass >= schema_->num_classes()) {
-    return NotFound(StrCat("class id ", subclass, " out of range"));
-  }
-  // C ⊑ γ1 ∧ ... ∧ γn iff C ⊑ γj for every clause. C ⊑ L1 ∨ ... ∨ Lm iff
-  // the auxiliary class (C ∧ ¬L1 ∧ ... ∧ ¬Lm) is unsatisfiable.
-  for (const ClassClause& clause : formula.clauses()) {
-    ClassFormula auxiliary_isa = ClassFormula::OfClass(subclass);
-    for (const ClassLiteral& literal : clause.literals()) {
-      auxiliary_isa.AddClause(ClassClause::Of(literal.Complement()));
-    }
-    CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                         AuxiliaryClassSatisfiable(auxiliary_isa, {}, {}));
-    if (satisfiable) return false;
-  }
-  return true;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kIsa,
+                            .class_id = subclass,
+                            .formula = formula});
 }
 
 Result<bool> Reasoner::ImpliesDisjoint(ClassId a, ClassId b) {
-  if (a < 0 || a >= schema_->num_classes() || b < 0 ||
-      b >= schema_->num_classes()) {
-    return NotFound("class id out of range");
-  }
-  ClassFormula both = ClassFormula::OfClass(a);
-  both.AndWith(ClassFormula::OfClass(b));
-  CAR_ASSIGN_OR_RETURN(bool satisfiable,
-                       AuxiliaryClassSatisfiable(both, {}, {}));
-  return !satisfiable;
+  return DecideFromScratch(
+      {.kind = ImplicationQuery::Kind::kDisjoint, .class_id = a, .other = b});
 }
 
 Result<bool> Reasoner::ImpliesMinCardinality(ClassId class_id,
                                              AttributeTerm term,
                                              uint64_t min) {
-  if (min == 0) return true;
-  if (term.attribute < 0 || term.attribute >= schema_->num_attributes()) {
-    return NotFound(StrCat("attribute id ", term.attribute, " out of range"));
-  }
-  // The auxiliary class is a C-instance allowed at most min-1 successors;
-  // it is satisfiable iff the minimum is NOT implied.
-  AttributeSpec spec;
-  spec.term = term;
-  spec.cardinality = Cardinality(0, min - 1);
-  spec.range = ClassFormula::True();
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {spec}, {}));
-  return !satisfiable;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMinCardinality,
+                            .class_id = class_id,
+                            .term = term,
+                            .bound = min});
 }
 
 Result<bool> Reasoner::ImpliesMaxCardinality(ClassId class_id,
                                              AttributeTerm term,
                                              uint64_t max) {
-  if (term.attribute < 0 || term.attribute >= schema_->num_attributes()) {
-    return NotFound(StrCat("attribute id ", term.attribute, " out of range"));
-  }
-  if (max == Cardinality::kInfinity) return true;
-  AttributeSpec spec;
-  spec.term = term;
-  spec.cardinality = Cardinality::AtLeast(max + 1);
-  spec.range = ClassFormula::True();
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {spec}, {}));
-  return !satisfiable;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMaxCardinality,
+                            .class_id = class_id,
+                            .term = term,
+                            .bound = max});
 }
 
 Result<bool> Reasoner::ImpliesMinParticipation(ClassId class_id,
                                                RelationId relation,
                                                RoleId role, uint64_t min) {
-  if (min == 0) return true;
-  ParticipationSpec spec;
-  spec.relation = relation;
-  spec.role = role;
-  spec.cardinality = Cardinality(0, min - 1);
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {}, {spec}));
-  return !satisfiable;
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMinParticipation,
+                            .class_id = class_id,
+                            .relation = relation,
+                            .role = role,
+                            .bound = min});
+}
+
+Result<bool> Reasoner::ImpliesMaxParticipation(ClassId class_id,
+                                               RelationId relation,
+                                               RoleId role, uint64_t max) {
+  return DecideFromScratch({.kind = ImplicationQuery::Kind::kMaxParticipation,
+                            .class_id = class_id,
+                            .relation = relation,
+                            .role = role,
+                            .bound = max});
 }
 
 Result<bool> Reasoner::ImpliesRoleTyping(RelationId relation, RoleId role,
                                          const ClassFormula& formula) {
-  if (relation < 0 || relation >= schema_->num_relations()) {
-    return NotFound(StrCat("relation id ", relation, " out of range"));
-  }
+  CAR_RETURN_IF_ERROR(schema_->ValidateRoleOf(relation, role));
   const RelationDefinition* definition =
       schema_->relation_definition(relation);
-  CAR_CHECK(definition != nullptr);
-  int role_index = definition->RoleIndex(role);
-  if (role_index < 0) {
-    return NotFound(StrCat("role '", schema_->RoleName(role),
-                           "' is not a role of relation '",
-                           schema_->RelationName(relation), "'"));
-  }
+  const int role_index = definition->RoleIndex(role);
   CAR_RETURN_IF_ERROR(Prepare());
 
   std::vector<int> active;
@@ -547,41 +656,11 @@ Result<Cardinality> Reasoner::ImpliedCardinalityBounds(
   return Cardinality(implied_min, implied_max);
 }
 
-Result<bool> Reasoner::ImpliesMaxParticipation(ClassId class_id,
-                                               RelationId relation,
-                                               RoleId role, uint64_t max) {
-  if (max == Cardinality::kInfinity) return true;
-  ParticipationSpec spec;
-  spec.relation = relation;
-  spec.role = role;
-  spec.cardinality = Cardinality::AtLeast(max + 1);
-  CAR_ASSIGN_OR_RETURN(
-      bool satisfiable,
-      AuxiliaryClassSatisfiable(ClassFormula::OfClass(class_id), {}, {spec}));
-  return !satisfiable;
-}
-
 Result<bool> Reasoner::RunImplicationQuery(const ImplicationQuery& query) {
   if (options_.incremental) {
     return GetIncrementalSession()->RunImplicationQuery(query);
   }
-  switch (query.kind) {
-    case ImplicationQuery::Kind::kIsa:
-      return ImpliesIsa(query.class_id, query.formula);
-    case ImplicationQuery::Kind::kDisjoint:
-      return ImpliesDisjoint(query.class_id, query.other);
-    case ImplicationQuery::Kind::kMinCardinality:
-      return ImpliesMinCardinality(query.class_id, query.term, query.bound);
-    case ImplicationQuery::Kind::kMaxCardinality:
-      return ImpliesMaxCardinality(query.class_id, query.term, query.bound);
-    case ImplicationQuery::Kind::kMinParticipation:
-      return ImpliesMinParticipation(query.class_id, query.relation,
-                                     query.role, query.bound);
-    case ImplicationQuery::Kind::kMaxParticipation:
-      return ImpliesMaxParticipation(query.class_id, query.relation,
-                                     query.role, query.bound);
-  }
-  return Internal("unknown implication query kind");
+  return DecideFromScratch(query);
 }
 
 Result<std::vector<bool>> Reasoner::RunImplicationBatch(
@@ -589,42 +668,14 @@ Result<std::vector<bool>> Reasoner::RunImplicationBatch(
   if (options_.incremental) {
     return GetIncrementalSession()->RunImplicationBatch(queries);
   }
-  // Every query builds and solves a private auxiliary schema and touches
-  // no cached reasoner state, so the batch can run concurrently; answers
-  // land in per-query slots, making the result order-insensitive.
-  std::vector<Result<bool>> outcomes(queries.size(), Result<bool>(false));
-  ParallelForOptions parallel;
-  parallel.num_threads = options_.num_threads;
-  parallel.cancel = options_.exec;
-  ParallelFor(queries.size(), parallel,
-              [this, &queries, &outcomes](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  Status charge =
-                      GovChargeWork(options_.exec, 1, "implication");
-                  if (!charge.ok()) {
-                    outcomes[i] = std::move(charge);
-                    return;
-                  }
-                  outcomes[i] = RunImplicationQuery(queries[i]);
-                  if (options_.exec != nullptr) options_.exec->CountQueries(1);
-                }
-              });
-  // Concurrent queries interleave pipeline phases, so the phase recorded
-  // at a trip would depend on the schedule; normalize it to the batch's
-  // own phase so tripped batches report identically for every thread
-  // count.
-  if (options_.exec != nullptr && options_.exec->tripped()) {
-    options_.exec->OverridePhaseOnTrip("implication");
+  std::vector<const ImplicationQuery*> validated;
+  validated.reserve(queries.size());
+  for (const ImplicationQuery& query : queries) {
+    CAR_RETURN_IF_ERROR(ValidateImplicationQuery(*schema_, query));
+    validated.push_back(&query);
   }
-  // Skipped chunks leave default-false slots; surface the trip instead.
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "implication"));
-  std::vector<bool> answers;
-  answers.reserve(outcomes.size());
-  for (const Result<bool>& outcome : outcomes) {
-    CAR_RETURN_IF_ERROR(outcome.status());
-    answers.push_back(outcome.value());
-  }
-  return answers;
+  return DecideImplicationBatch(*schema_, validated, FromScratchOracle(),
+                                options_.num_threads, options_.exec);
 }
 
 }  // namespace car

@@ -1,6 +1,7 @@
 #ifndef CAR_REASONER_REASONER_H_
 #define CAR_REASONER_REASONER_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,11 +27,11 @@ struct ReasonerOptions {
   /// 1 = the serial reference path, 0 = hardware concurrency.
   int num_threads = 1;
   /// Optional resource governor (borrowed; may be null = ungoverned).
-  /// When set, it is propagated into the expansion and solver stages and
-  /// CheckSchema degrades gracefully: a tripped deadline, cancellation or
-  /// budget yields Verdict::kUnknown with a populated LimitReport instead
-  /// of an error status. Ungoverned runs keep the historical
-  /// error-status behavior.
+  /// It replaces the expansion and solver stages' own governors
+  /// (FanOutToStages), and when set, CheckSchema degrades gracefully: a
+  /// tripped deadline, cancellation or budget yields Verdict::kUnknown
+  /// with a populated LimitReport instead of an error status. Ungoverned
+  /// runs keep the historical error-status behavior.
   ExecContext* exec = nullptr;
   /// Routes implication queries through an IncrementalSession: one base
   /// expansion + Ψ solve per schema fingerprint, then expansion deltas,
@@ -122,15 +123,69 @@ struct ImplicationQuery {
   /// kDisjoint only.
   ClassId other = kInvalidId;
   /// kIsa only.
-  ClassFormula formula;
+  ClassFormula formula = ClassFormula::True();
   /// kMinCardinality / kMaxCardinality only.
-  AttributeTerm term;
+  AttributeTerm term{};
   /// kMinParticipation / kMaxParticipation only.
   RelationId relation = kInvalidId;
   RoleId role = kInvalidId;
   /// The cardinality bound for the four cardinality/participation kinds.
   uint64_t bound = 0;
 };
+
+/// Checks every id `query` names against `schema`, before anything is
+/// built: the class (both classes of kDisjoint, every literal of every
+/// kIsa clause), the attribute, and for the participation kinds the
+/// relation, its definition and the role's membership in it. NotFound
+/// for an id outside its table or a role of another relation,
+/// FailedPrecondition for an undefined relation. Every engine validates
+/// a query here once, so malformed queries fail identically everywhere.
+Status ValidateImplicationQuery(const Schema& schema,
+                                const ImplicationQuery& query);
+
+/// The bound shapes implied by every schema — a minimum of 0 and a
+/// maximum of infinity — which DecideImplication answers (true) without
+/// a probe.
+bool IsTriviallyImplied(const ImplicationQuery& query);
+
+/// The oracle DecideImplication asks: is class `aux` of `extended` — the
+/// base schema plus the one fresh auxiliary class `aux` — satisfiable?
+/// Called concurrently by batch workers.
+using AuxSatisfiableFn =
+    std::function<Result<bool>(const Schema& extended, ClassId aux)>;
+
+/// The reduction of S ⊨ δ to class satisfiability (Section 3), written
+/// once for every engine: each property δ of `query` holds iff a fresh
+/// auxiliary class violating it — C ∧ ¬L1 ∧ ... ∧ ¬Lm per kIsa clause,
+/// A ∧ B for kDisjoint, a C-instance with at most bound-1 (at least
+/// bound+1) successors or participations — is unsatisfiable in the
+/// schema extended by it. Models of the extended schema are exactly the
+/// models of `schema` with an arbitrary extension for the fresh class, so
+/// the reduction is sound and complete. Trivial shapes are answered
+/// without a probe; clauses are probed in order and the first refuted
+/// one answers. Precondition: ValidateImplicationQuery(schema, query).
+Result<bool> DecideImplication(const Schema& schema,
+                               const ImplicationQuery& query,
+                               const AuxSatisfiableFn& aux_satisfiable);
+
+/// Decides validated `queries` with DecideImplication, concurrently on
+/// `num_threads` pool workers (1 = serial), under the governor `exec`
+/// (may be null): every query is charged one unit of "implication" work
+/// and counted once decided, and a trip is reported in the "implication"
+/// phase whatever the schedule — a tripped batch fails identically for
+/// every thread count. Answers are positionally aligned; on error the
+/// status of the lowest-indexed failing query is returned. Both engines'
+/// batches run here.
+Result<std::vector<bool>> DecideImplicationBatch(
+    const Schema& schema, const std::vector<const ImplicationQuery*>& queries,
+    const AuxSatisfiableFn& aux_satisfiable, int num_threads,
+    ExecContext* exec);
+
+/// Fans the reasoner-level settings out to the expansion and solver
+/// stages, which read their own: `num_threads` when it is not 1, and
+/// `exec` always (null leaves every stage ungoverned). Both engines apply
+/// it on construction and IncrementalSession::set_exec on every re-point.
+void FanOutToStages(ReasonerOptions* options);
 
 /// The reasoning engine of Section 3: class satisfiability via the
 /// two-phase method (expansion, then the disequation system), and logical
@@ -139,9 +194,10 @@ struct ImplicationQuery {
 /// The reasoner owns a copy of nothing: it borrows the schema, computes
 /// the expansion and the Ψ_S solution lazily on first use, and caches them
 /// for subsequent queries (the phase-1/phase-2 computation is
-/// query-independent). Implication queries build a private extended copy
-/// of the schema with one fresh auxiliary class and run an independent
-/// satisfiability check on it; the borrowed schema is never mutated.
+/// query-independent). Implication queries run DecideImplication with the
+/// from-scratch oracle — the lazy engine, then a full expansion and Ψ
+/// solve of the private extended schema — the reference every other
+/// engine is checked against; the borrowed schema is never mutated.
 class IncrementalSession;
 
 class Reasoner {
@@ -173,10 +229,8 @@ class Reasoner {
   Result<SatReport> CheckSchema();
 
   // --- Logical implication (S ⊨ δ) ---------------------------------------
-  // Each query reduces to unsatisfiability of a fresh auxiliary class in
-  // an extended schema, which is sound and complete because models of the
-  // extended schema are exactly models of the original with an arbitrary
-  // extension for the auxiliary class.
+  // Each method is the from-scratch DecideImplication of the matching
+  // ImplicationQuery kind, whatever options.incremental says.
 
   /// S ⊨ C isa F? (checked clause by clause: C ⊑ γ iff C ∧ ¬γ is empty).
   Result<bool> ImpliesIsa(ClassId subclass, const ClassFormula& formula);
@@ -185,7 +239,7 @@ class Reasoner {
   Result<bool> ImpliesDisjoint(ClassId a, ClassId b);
 
   /// S ⊨ "every instance of C has at least `min` att-successors"?
-  /// `min` must be >= 1 (the 0 case is trivially true).
+  /// (The 0 case is trivially true.)
   Result<bool> ImpliesMinCardinality(ClassId class_id, AttributeTerm term,
                                      uint64_t min);
   /// S ⊨ "every instance of C has at most `max` att-successors"?
@@ -193,7 +247,7 @@ class Reasoner {
                                      uint64_t max);
 
   /// S ⊨ "every instance of C occurs at least `min` times as the
-  /// U-component of R"? `min` must be >= 1.
+  /// U-component of R"?
   Result<bool> ImpliesMinParticipation(ClassId class_id, RelationId relation,
                                        RoleId role, uint64_t min);
   /// S ⊨ "every instance of C occurs at most `max` times as the
@@ -201,12 +255,12 @@ class Reasoner {
   Result<bool> ImpliesMaxParticipation(ClassId class_id, RelationId relation,
                                        RoleId role, uint64_t max);
 
-  /// Evaluates a batch of implication queries. Each query is an
-  /// independent auxiliary-schema satisfiability check; with
-  /// options.num_threads > 1 the checks run concurrently on the shared
-  /// pool. Answers are positionally aligned with `queries` and identical
-  /// to issuing the queries one by one; on error, the error of the
-  /// lowest-indexed failing query is returned.
+  /// Evaluates a batch of implication queries: every query is validated
+  /// first (the first malformed one fails the batch before any probe),
+  /// then decided by DecideImplicationBatch — with options.num_threads > 1
+  /// concurrently on the shared pool. Answers are positionally aligned
+  /// with `queries` and identical to issuing the queries one by one.
+  /// Routed through the IncrementalSession under options.incremental.
   Result<std::vector<bool>> RunImplicationBatch(
       const std::vector<ImplicationQuery>& queries);
 
@@ -249,11 +303,12 @@ class Reasoner {
   /// Lazily constructs the incremental session (options.incremental).
   IncrementalSession* GetIncrementalSession();
 
-  /// Builds a copy of the schema plus a fresh class with the given
-  /// definition parts and returns satisfiability of the fresh class.
-  Result<bool> AuxiliaryClassSatisfiable(
-      const ClassFormula& isa, const std::vector<AttributeSpec>& attributes,
-      const std::vector<ParticipationSpec>& participations);
+  /// Validates and decides `query` with the from-scratch oracle.
+  Result<bool> DecideFromScratch(const ImplicationQuery& query);
+
+  /// The from-scratch oracle: the lazy engine (options.lazy_expansion),
+  /// then a full expansion and Ψ solve of the extended schema.
+  AuxSatisfiableFn FromScratchOracle() const;
 
   const Schema* schema_;
   ReasonerOptions options_;

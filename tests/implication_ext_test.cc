@@ -67,6 +67,14 @@ TEST_F(Figure2ImplicationTest, RoleTypingErrors) {
                    .ok());
 }
 
+TEST_F(Figure2ImplicationTest, RoleTypingRejectsOutOfRangeRoleId) {
+  // An id beyond the role table is NotFound, not a lookup that aborts.
+  Result<bool> typing = reasoner_.ImpliesRoleTyping(
+      schema_.LookupRelation("Exam"), schema_.num_roles() + 7, Of("Person"));
+  ASSERT_FALSE(typing.ok());
+  EXPECT_EQ(typing.status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(Figure2ImplicationTest, ImpliedCardinalityBounds) {
   AttributeId taught_by = schema_.LookupAttribute("taught_by");
 

@@ -17,78 +17,19 @@
 
 #include "base/exec_context.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "model/schema.h"
 #include "reasoner/incremental.h"
 #include "reasoner/lazy_engine.h"
 #include "reasoner/reasoner.h"
+#include "test_schemas.h"
 #include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
-
-/// A deterministic batch of implication queries mixing every query kind,
-/// drawn from the schema's classes/attributes/relations. Mirrors the
-/// EXP-I benchmark driver's generator; duplicates are kept on purpose so
-/// the batch exercises the memo and the canonical-key dedup.
-std::vector<ImplicationQuery> MakeBatch(const Schema& schema, Rng* rng,
-                                        int count) {
-  std::vector<ImplicationQuery> queries;
-  while (static_cast<int>(queries.size()) < count) {
-    ImplicationQuery query;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        query.kind = ImplicationQuery::Kind::kIsa;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.formula = ClassFormula::OfClass(
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes())));
-        break;
-      case 1:
-        query.kind = ImplicationQuery::Kind::kDisjoint;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.other =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        bool min = rng->NextBelow(2) == 0;
-        query.kind = min ? ImplicationQuery::Kind::kMinCardinality
-                         : ImplicationQuery::Kind::kMaxCardinality;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        AttributeId attribute = static_cast<AttributeId>(
-            rng->NextBelow(schema.num_attributes()));
-        query.term = rng->NextBelow(4) == 0
-                         ? AttributeTerm::Inverse(attribute)
-                         : AttributeTerm::Direct(attribute);
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        query.kind = rng->NextBelow(2) == 0
-                         ? ImplicationQuery::Kind::kMinParticipation
-                         : ImplicationQuery::Kind::kMaxParticipation;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.relation = relation;
-        query.role =
-            definition->roles[rng->NextBelow(definition->roles.size())];
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-    }
-    queries.push_back(std::move(query));
-  }
-  return queries;
-}
 
 /// The schemas the equivalence sweeps run over. Chain schemas are the
 /// incremental engine's demonstration regime (small deltas on a deep
@@ -116,7 +57,8 @@ std::vector<std::pair<std::string, Schema>> TestSchemas() {
 TEST(IncrementalEquivalenceTest, BatchAnswersMatchFromScratchAcrossThreads) {
   for (const auto& [label, schema] : TestSchemas()) {
     Rng query_rng(101);
-    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 24);
+    std::vector<ImplicationQuery> queries =
+        GenerateImplicationBatch(schema, &query_rng, 24);
 
     // Reference: serial from-scratch answers.
     Reasoner reference(&schema, ReasonerOptions{});
@@ -144,7 +86,8 @@ TEST(IncrementalEquivalenceTest, BatchAnswersMatchFromScratchAcrossThreads) {
 TEST(IncrementalEquivalenceTest, RepeatedBatchIsServedFromMemo) {
   Schema schema = GenerateChainSchema(ChainParams{6, 2});
   Rng query_rng(202);
-  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 16);
+  std::vector<ImplicationQuery> queries =
+      GenerateImplicationBatch(schema, &query_rng, 16);
 
   IncrementalSession session(&schema, ReasonerOptions{});
   auto first = session.RunImplicationBatch(queries);
@@ -170,7 +113,8 @@ TEST(IncrementalEquivalenceTest, SchemaMutationInvalidatesBaseAndMemo) {
   Schema schema =
       GenerateClusteredSchema(&rng, ClusteredParams{3, 3, 2, false});
   Rng query_rng(303);
-  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 12);
+  std::vector<ImplicationQuery> queries =
+      GenerateImplicationBatch(schema, &query_rng, 12);
 
   IncrementalSession session(&schema, ReasonerOptions{});
   auto before = session.RunImplicationBatch(queries);
@@ -202,7 +146,8 @@ TEST(IncrementalEquivalenceTest, ReasonerIncrementalRoutingTracksMutation) {
   // session are fingerprint-guarded.
   Schema schema = GenerateChainSchema(ChainParams{5, 2});
   Rng query_rng(404);
-  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 10);
+  std::vector<ImplicationQuery> queries =
+      GenerateImplicationBatch(schema, &query_rng, 10);
 
   ReasonerOptions options;
   options.incremental = true;
@@ -232,7 +177,8 @@ TEST(IncrementalEquivalenceTest, GovernedRunsNeverReturnWrongAnswers) {
   // forbidden outcome.
   Schema schema = GenerateChainSchema(ChainParams{5, 2});
   Rng query_rng(505);
-  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 12);
+  std::vector<ImplicationQuery> queries =
+      GenerateImplicationBatch(schema, &query_rng, 12);
 
   Reasoner reference(&schema, ReasonerOptions{});
   auto expected = reference.RunImplicationBatch(queries);
@@ -289,6 +235,132 @@ TEST(IncrementalEquivalenceTest, MalformedQueriesErrorLikeFromScratch) {
   EXPECT_EQ(expected.status().ToString(), answers.status().ToString());
 }
 
+// --- Malformed queries: validated once, up front, in every engine --------
+//
+// Every engine runs ValidateImplicationQuery over the whole batch before
+// anything else, so a malformed query fails with the same NotFound in
+// every engine, option set and thread count — before a bound-shape
+// shortcut, a tier-0 certificate or a probe of an earlier clause can
+// answer it, and before an out-of-range role id can reach a name lookup.
+
+struct MalformedCase {
+  std::string label;
+  ImplicationQuery query;
+};
+
+std::vector<MalformedCase> MalformedCases(const Schema& schema) {
+  const ClassId person = schema.LookupClass("Person");
+  const AttributeId name = schema.LookupAttribute("name");
+  const RelationId enrollment = schema.LookupRelation("Enrollment");
+  const RoleId enrolls = schema.LookupRole("enrolls");
+  const RoleId by = schema.LookupRole("by");  // A role of Exam only.
+
+  std::vector<MalformedCase> cases;
+  ImplicationQuery isa;
+  isa.kind = ImplicationQuery::Kind::kIsa;
+  isa.class_id = person;
+  // The first id past the schema is the auxiliary class's id in the
+  // extended schema, where the query would be answered "implied".
+  isa.formula = ClassFormula::OfClass(schema.num_classes());
+  cases.push_back({"isa names class id num_classes()", isa});
+  // Person isa Professor is refutable, so a clause-by-clause decision
+  // answers "not implied" before it reaches the malformed second clause.
+  isa.formula = ClassFormula::OfClass(schema.LookupClass("Professor"));
+  isa.formula.AndWith(ClassFormula::OfClass(schema.num_classes() + 2));
+  cases.push_back({"bad id in a later isa clause", isa});
+
+  ImplicationQuery disjoint;
+  disjoint.kind = ImplicationQuery::Kind::kDisjoint;
+  disjoint.class_id = person;
+  disjoint.other = -1;
+  cases.push_back({"disjoint with a negative class id", disjoint});
+
+  for (bool minimum : {true, false}) {
+    const std::string shape = minimum ? "min 0" : "max inf";
+    const uint64_t bound = minimum ? 0 : Cardinality::kInfinity;
+    ImplicationQuery cardinality;
+    cardinality.kind = minimum ? ImplicationQuery::Kind::kMinCardinality
+                               : ImplicationQuery::Kind::kMaxCardinality;
+    cardinality.class_id = person;
+    cardinality.term = AttributeTerm::Direct(schema.num_attributes() + 1);
+    cardinality.bound = bound;
+    cases.push_back({shape + " with a bad attribute", cardinality});
+
+    ImplicationQuery participation;
+    participation.kind = minimum
+                             ? ImplicationQuery::Kind::kMinParticipation
+                             : ImplicationQuery::Kind::kMaxParticipation;
+    participation.class_id = person;
+    participation.relation = schema.num_relations() + 1;
+    participation.role = enrolls;
+    participation.bound = bound;
+    cases.push_back({shape + " with a bad relation", participation});
+    participation.relation = enrollment;
+    participation.role = by;
+    cases.push_back({shape + " with a foreign role", participation});
+  }
+
+  ImplicationQuery participation;
+  participation.kind = ImplicationQuery::Kind::kMinParticipation;
+  participation.class_id = person;
+  participation.relation = enrollment;
+  participation.role = schema.num_roles() + 7;
+  participation.bound = 1;
+  cases.push_back({"out-of-range role id", participation});
+
+  ImplicationQuery cardinality;
+  cardinality.kind = ImplicationQuery::Kind::kMinCardinality;
+  cardinality.class_id = schema.num_classes();
+  cardinality.term = AttributeTerm::Direct(name);
+  cardinality.bound = 2;
+  cases.push_back({"cardinality of class id num_classes()", cardinality});
+  return cases;
+}
+
+TEST(MalformedQueryTest, EveryEngineRejectsUpFrontWithOneStatus) {
+  const Schema schema = testing_schemas::Figure2();
+  // A well-formed query ahead of the malformed one: the batch must still
+  // fail before probing anything.
+  ImplicationQuery well_formed;
+  well_formed.kind = ImplicationQuery::Kind::kDisjoint;
+  well_formed.class_id = schema.LookupClass("Professor");
+  well_formed.other = schema.LookupClass("Student");
+
+  for (const MalformedCase& malformed : MalformedCases(schema)) {
+    const std::vector<ImplicationQuery> batch = {well_formed,
+                                                 malformed.query};
+    std::string reference;
+    for (const char* engine : {"from-scratch", "eager", "lazy"}) {
+      for (bool prefilter : {false, true}) {
+        for (int threads : {1, 8}) {
+          const std::string label =
+              StrCat(malformed.label, " / ", engine, " prefilter=",
+                     prefilter, " threads=", threads);
+          ReasonerOptions options;
+          options.num_threads = threads;
+          options.prefilter = prefilter;
+          options.lazy_expansion = std::string(engine) == "lazy";
+          Result<std::vector<bool>> answers = std::vector<bool>{};
+          if (std::string(engine) == "from-scratch") {
+            Reasoner reasoner(&schema, options);
+            answers = reasoner.RunImplicationBatch(batch);
+          } else {
+            IncrementalSession session(&schema, options);
+            answers = session.RunImplicationBatch(batch);
+            EXPECT_EQ(session.stats(), IncrementalStats{}) << label;
+          }
+          EXPECT_FALSE(answers.ok()) << label;
+          if (answers.ok()) continue;
+          EXPECT_EQ(answers.status().code(), StatusCode::kNotFound)
+              << label << ": " << answers.status();
+          if (reference.empty()) reference = answers.status().ToString();
+          EXPECT_EQ(answers.status().ToString(), reference) << label;
+        }
+      }
+    }
+  }
+}
+
 // --- Lazy sessions: one session-level partial base ------------------------
 //
 // Under lazy expansion every lazy probe resumes from a partial base the
@@ -326,11 +398,12 @@ std::vector<std::vector<ImplicationQuery>> SessionBatches(
     const Schema& schema) {
   Rng rng(606);
   std::vector<std::vector<ImplicationQuery>> batches;
-  batches.push_back(MakeBatch(schema, &rng, 12));
-  std::vector<ImplicationQuery> second = MakeBatch(schema, &rng, 8);
+  batches.push_back(GenerateImplicationBatch(schema, &rng, 12));
+  std::vector<ImplicationQuery> second =
+      GenerateImplicationBatch(schema, &rng, 8);
   second.insert(second.end(), batches[0].begin(), batches[0].begin() + 4);
   batches.push_back(std::move(second));
-  batches.push_back(MakeBatch(schema, &rng, 12));
+  batches.push_back(GenerateImplicationBatch(schema, &rng, 12));
   return batches;
 }
 
@@ -416,13 +489,15 @@ TEST(LazySessionBaseTest, SecondBatchOfNewQueriesSolvesNoColdLp) {
   // every LP a later batch's lazy probes solve is a resume of it.
   Schema schema = GenerateChainSchema(ChainParams{12, 2});
   Rng rng(707);
-  std::vector<ImplicationQuery> first = MakeBatch(schema, &rng, 16);
+  std::vector<ImplicationQuery> first =
+      GenerateImplicationBatch(schema, &rng, 16);
   std::set<std::string> seen;
   for (const ImplicationQuery& query : first) {
     seen.insert(IncrementalSession::CanonicalQueryKey(query));
   }
   std::vector<ImplicationQuery> second;
-  for (const ImplicationQuery& query : MakeBatch(schema, &rng, 32)) {
+  for (const ImplicationQuery& query :
+       GenerateImplicationBatch(schema, &rng, 32)) {
     if (seen.insert(IncrementalSession::CanonicalQueryKey(query)).second) {
       second.push_back(query);
     }
@@ -468,7 +543,8 @@ TEST(LazySessionBaseTest, TripDuringBaseBuildPublishesNothing) {
   // ungoverned batch builds it once and answers exactly.
   Schema schema = GenerateChainSchema(ChainParams{6, 2});
   Rng rng(808);
-  const std::vector<ImplicationQuery> batch = MakeBatch(schema, &rng, 6);
+  const std::vector<ImplicationQuery> batch =
+      GenerateImplicationBatch(schema, &rng, 6);
   Reasoner reference(&schema, ReasonerOptions{});
   auto expected = reference.RunImplicationBatch(batch);
   ASSERT_TRUE(expected.ok()) << expected.status();

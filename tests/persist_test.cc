@@ -32,6 +32,7 @@
 #include "serve/session_cache.h"
 #include "test_schemas.h"
 #include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
@@ -66,66 +67,6 @@ class ScratchDir {
   std::string path_;
 };
 
-/// Deterministic mixed-kind query batch (same generator shape as the
-/// incremental-equivalence suite).
-std::vector<ImplicationQuery> MakeBatch(const Schema& schema, Rng* rng,
-                                        int count) {
-  std::vector<ImplicationQuery> queries;
-  while (static_cast<int>(queries.size()) < count) {
-    ImplicationQuery query;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        query.kind = ImplicationQuery::Kind::kIsa;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.formula = ClassFormula::OfClass(
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes())));
-        break;
-      case 1:
-        query.kind = ImplicationQuery::Kind::kDisjoint;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.other =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        bool min = rng->NextBelow(2) == 0;
-        query.kind = min ? ImplicationQuery::Kind::kMinCardinality
-                         : ImplicationQuery::Kind::kMaxCardinality;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        AttributeId attribute = static_cast<AttributeId>(
-            rng->NextBelow(schema.num_attributes()));
-        query.term = rng->NextBelow(4) == 0
-                         ? AttributeTerm::Inverse(attribute)
-                         : AttributeTerm::Direct(attribute);
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        query.kind = rng->NextBelow(2) == 0
-                         ? ImplicationQuery::Kind::kMinParticipation
-                         : ImplicationQuery::Kind::kMaxParticipation;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.relation = relation;
-        query.role =
-            definition->roles[rng->NextBelow(definition->roles.size())];
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-    }
-    queries.push_back(std::move(query));
-  }
-  return queries;
-}
-
 std::vector<std::pair<std::string, Schema>> TestSchemas() {
   std::vector<std::pair<std::string, Schema>> schemas;
   schemas.emplace_back("figure2", testing_schemas::Figure2());
@@ -151,7 +92,7 @@ std::string WarmSnapshotBytes(const Schema& schema, int num_threads,
   options.num_threads = num_threads;
   IncrementalSession session(&schema, options);
   Rng rng(303);
-  auto batch = MakeBatch(schema, &rng, 16);
+  auto batch = GenerateImplicationBatch(schema, &rng, 16);
   auto got = session.RunImplicationBatch(batch);
   CAR_CHECK(got.ok()) << got.status();
   if (answers != nullptr) *answers = got.value();
@@ -201,7 +142,7 @@ TEST(SnapshotFormatTest, RestoredSessionAnswersBitIdentically) {
       IncrementalSession restored(&schema, options);
       ASSERT_TRUE(restored.Deserialize(bytes).ok()) << name;
       Rng rng(303);
-      auto batch = MakeBatch(schema, &rng, 16);
+      auto batch = GenerateImplicationBatch(schema, &rng, 16);
       auto got = restored.RunImplicationBatch(batch);
       ASSERT_TRUE(got.ok()) << name << ": " << got.status();
       EXPECT_EQ(got.value(), reference)
@@ -244,7 +185,7 @@ TEST(SnapshotFormatTest, EveryBitFlipIsRejectedBeforeItCanChangeAnswers) {
   const std::string bytes = WarmSnapshotBytes(schema, 1);
   ReasonerOptions options;
   Rng rng(1);
-  const ImplicationQuery probe = MakeBatch(schema, &rng, 1)[0];
+  const ImplicationQuery probe = GenerateImplicationBatch(schema, &rng, 1)[0];
   // A flipped bit must be caught by one of the independent guards —
   // magic/version/ABI checks, the per-section CRC, the framing
   // invariants, or the schema-fingerprint/extent verification at
@@ -304,7 +245,7 @@ TEST(SnapshotFormatTest, FingerprintMismatchLeavesSessionColdAndCorrect) {
   // The rejected restore cost nothing: the session rebuilds cold and
   // matches a never-persisted session.
   Rng rng(7);
-  auto batch = MakeBatch(other, &rng, 8);
+  auto batch = GenerateImplicationBatch(other, &rng, 8);
   auto got = session.RunImplicationBatch(batch);
   ASSERT_TRUE(got.ok()) << got.status();
   IncrementalSession fresh(&other, options);
@@ -451,7 +392,7 @@ TEST(SnapshotStoreTest, SaveIsAtomicUnderEveryInjectedFault) {
     ReasonerOptions options;
     IncrementalSession session(&schema, options);
     Rng rng(303);
-    auto batch = MakeBatch(schema, &rng, 32);
+    auto batch = GenerateImplicationBatch(schema, &rng, 32);
     CAR_CHECK(session.RunImplicationBatch(batch).ok());
     auto serialized = session.Serialize();
     CAR_CHECK(serialized.ok());
@@ -526,7 +467,7 @@ TEST(SessionCachePersistenceTest, SpillThenRestoreAcrossCacheGenerations) {
   Schema schema = testing_schemas::Figure2();
   const std::string text = PrintSchema(schema);
   Rng rng(5);
-  auto batch = MakeBatch(schema, &rng, 12);
+  auto batch = GenerateImplicationBatch(schema, &rng, 12);
   std::vector<bool> reference;
 
   // Generation 1: cold build, answer, spill at shutdown.
@@ -585,7 +526,7 @@ TEST(SessionCachePersistenceTest, EvictionSpillsAndReopenRestores) {
   auto a = cache.Open("a", PrintSchema(first), &warm);
   ASSERT_TRUE(a.ok());
   Rng rng(5);
-  auto batch = MakeBatch(first, &rng, 8);
+  auto batch = GenerateImplicationBatch(first, &rng, 8);
   auto reference = a.value()->session->RunImplicationBatch(batch);
   ASSERT_TRUE(reference.ok());
   cache.UpdateCost(a.value());
@@ -637,7 +578,7 @@ TEST(SessionCachePersistenceTest, CorruptSnapshotDegradesToColdBuild) {
 
   // The cold session answers exactly like a never-persisted one.
   Rng rng(5);
-  auto batch = MakeBatch(schema, &rng, 8);
+  auto batch = GenerateImplicationBatch(schema, &rng, 8);
   auto got = entry.value()->session->RunImplicationBatch(batch);
   ASSERT_TRUE(got.ok());
   ReasonerOptions plain;
@@ -771,7 +712,8 @@ TEST(LazySnapshotEligibilityTest, PartialBaseAloneIsSnapshotIneligible) {
   Schema schema = GenerateChainSchema(ChainParams{8, 2});
   const std::string text = PrintSchema(schema);
   Rng rng(31);
-  const std::vector<ImplicationQuery> batch = MakeBatch(schema, &rng, 8);
+  const std::vector<ImplicationQuery> batch =
+      GenerateImplicationBatch(schema, &rng, 8);
 
   serve::SessionCacheOptions options;
   options.store = store.value().get();

@@ -20,71 +20,12 @@
 #include "reasoner/incremental.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
-
-/// A deterministic batch mixing every query kind (the
-/// incremental_equivalence_test generator, kept in sync by hand).
-std::vector<ImplicationQuery> MakeBatch(const Schema& schema, Rng* rng,
-                                        int count) {
-  std::vector<ImplicationQuery> queries;
-  while (static_cast<int>(queries.size()) < count) {
-    ImplicationQuery query;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        query.kind = ImplicationQuery::Kind::kIsa;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.formula = ClassFormula::OfClass(
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes())));
-        break;
-      case 1:
-        query.kind = ImplicationQuery::Kind::kDisjoint;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.other =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        bool min = rng->NextBelow(2) == 0;
-        query.kind = min ? ImplicationQuery::Kind::kMinCardinality
-                         : ImplicationQuery::Kind::kMaxCardinality;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        AttributeId attribute = static_cast<AttributeId>(
-            rng->NextBelow(schema.num_attributes()));
-        query.term = rng->NextBelow(4) == 0
-                         ? AttributeTerm::Inverse(attribute)
-                         : AttributeTerm::Direct(attribute);
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        query.kind = rng->NextBelow(2) == 0
-                         ? ImplicationQuery::Kind::kMinParticipation
-                         : ImplicationQuery::Kind::kMaxParticipation;
-        query.class_id =
-            static_cast<ClassId>(rng->NextBelow(schema.num_classes()));
-        query.relation = relation;
-        query.role =
-            definition->roles[rng->NextBelow(definition->roles.size())];
-        query.bound = 1 + rng->NextBelow(3);
-        break;
-      }
-    }
-    queries.push_back(std::move(query));
-  }
-  return queries;
-}
 
 /// Workload schemas plus a handcrafted hierarchy whose inclusion and
 /// disjointness structure the static closure certifies directly — this
@@ -138,7 +79,8 @@ TEST(PrefilterEquivalenceTest, TieredAnswersMatchFromScratchAcrossThreads) {
   uint64_t total_cluster_local = 0;
   for (const auto& [label, schema] : TestSchemas()) {
     Rng query_rng(101);
-    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 32);
+    std::vector<ImplicationQuery> queries =
+        GenerateImplicationBatch(schema, &query_rng, 32);
 
     Reasoner reference(&schema, ReasonerOptions{});
     auto expected = reference.RunImplicationBatch(queries);
@@ -171,7 +113,8 @@ TEST(PrefilterEquivalenceTest, TieredAnswersMatchFromScratchAcrossThreads) {
 TEST(PrefilterEquivalenceTest, PrefilterOffAndOnAgree) {
   for (const auto& [label, schema] : TestSchemas()) {
     Rng query_rng(202);
-    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 24);
+    std::vector<ImplicationQuery> queries =
+        GenerateImplicationBatch(schema, &query_rng, 24);
 
     ReasonerOptions off;
     off.prefilter = false;
@@ -193,7 +136,8 @@ TEST(PrefilterEquivalenceTest, PrefilterOffAndOnAgree) {
 TEST(PrefilterEquivalenceTest, GovernedTieredSessionsStayExact) {
   for (const auto& [label, schema] : TestSchemas()) {
     Rng query_rng(303);
-    std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 16);
+    std::vector<ImplicationQuery> queries =
+        GenerateImplicationBatch(schema, &query_rng, 16);
 
     Reasoner reference(&schema, ReasonerOptions{});
     auto expected = reference.RunImplicationBatch(queries);
@@ -227,7 +171,8 @@ TEST(PrefilterEquivalenceTest, RepeatedBatchStillLandsInMemo) {
   // memo without re-running the certificate lookup or any probes.
   Schema schema = TestSchemas().back().second;  // certified-hierarchy
   Rng query_rng(404);
-  std::vector<ImplicationQuery> queries = MakeBatch(schema, &query_rng, 20);
+  std::vector<ImplicationQuery> queries =
+      GenerateImplicationBatch(schema, &query_rng, 20);
 
   IncrementalSession session(&schema, ReasonerOptions{});
   auto first = session.RunImplicationBatch(queries);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "base/strings.h"
 #include "model/builder.h"
 #include "test_schemas.h"
 
@@ -92,6 +95,46 @@ TEST(SchemaTest, ValidateCatchesForeignRoleInParticipation) {
   auto schema = std::move(builder).Build();
   ASSERT_FALSE(schema.ok());
   EXPECT_EQ(schema.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SchemaTest, ValidateReportsOutOfRangeRoleIdsInsteadOfAborting) {
+  // Hand-built definitions can carry a role id outside the role table;
+  // the error names the id rather than looking up a name it lacks.
+  {
+    Schema schema;
+    ClassId c = schema.InternClass("C");
+    RelationId r = schema.InternRelation("R");
+    RelationDefinition definition;
+    definition.relation_id = r;
+    definition.roles = {schema.InternRole("u")};
+    ASSERT_TRUE(schema.SetRelationDefinition(definition).ok());
+    ParticipationSpec spec;
+    spec.relation = r;
+    spec.role = schema.num_roles() + 7;
+    schema.mutable_class_definition(c)->participations.push_back(spec);
+    Status status = schema.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kNotFound);
+    EXPECT_NE(status.message().find(StrCat("role id ", spec.role)),
+              std::string::npos)
+        << status;
+  }
+  {
+    Schema schema;
+    RelationId r = schema.InternRelation("R");
+    RelationDefinition definition;
+    definition.relation_id = r;
+    definition.roles = {schema.InternRole("u")};
+    RoleLiteral literal;
+    literal.role = schema.num_roles() + 7;
+    literal.formula = ClassFormula::OfClass(schema.InternClass("C"));
+    definition.constraints.push_back(RoleClause{{literal}});
+    ASSERT_TRUE(schema.SetRelationDefinition(definition).ok());
+    Status status = schema.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kNotFound);
+    EXPECT_NE(status.message().find(StrCat("role id ", literal.role)),
+              std::string::npos)
+        << status;
+  }
 }
 
 TEST(SchemaTest, ValidateCatchesDuplicateRoleInRelation) {
