@@ -1,14 +1,12 @@
 #include "expansion/expansion.h"
 
 #include <algorithm>
-#include <set>
+#include <utility>
 
-#include "analysis/clusters.h"
-#include "analysis/pair_tables.h"
-#include "analysis/union_free.h"
 #include "base/strings.h"
 #include "base/thread_pool.h"
 #include "expansion/cluster_enum.h"
+#include "expansion/expansion_delta.h"
 
 namespace car {
 
@@ -75,12 +73,12 @@ int PrefixBits(size_t positions, int threads) {
 
 }  // namespace
 
-/// Assembles an Expansion: enumerates consistent compound classes (with
-/// the selected strategy), then derives Natt/Nrel and the constrained
-/// compound attributes and relations.
+/// Builds an Expansion: enumerates the consistent compound classes with
+/// the selected strategy, then derives Natt/Nrel and the constrained
+/// compound attributes and relations with PopulateDeltaExtensions.
 ///
 /// Enumeration is sharded: by connectivity cluster under the pruned
-/// strategy, and additionally by literal-prefix (the include/exclude
+/// strategy, and additionally by decision prefix (the include/exclude
 /// decisions for the first few classes of a cluster, or the low bits of
 /// the subset mask for the exhaustive strategy). Shards are independent,
 /// run on the shared pool, and their outputs are merged in shard order
@@ -95,98 +93,71 @@ class ExpansionBuilder {
   }
 
   Result<Expansion> Build() {
-    expansion_.schema = &schema_;
     CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion"));
-    // The empty compound class is always present (index 0): objects that
-    // are instances of no class. It is trivially consistent and can serve
-    // as an attribute target/source or a relation component.
-    expansion_.compound_classes.push_back(CompoundClass());
-
-    CAR_RETURN_IF_ERROR(EnumerateCompoundClasses());
-    BuildNatt();
-    BuildNrel();
-    CAR_RETURN_IF_ERROR(BuildCompoundAttributes());
-    CAR_RETURN_IF_ERROR(BuildCompoundRelations());
-    CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion"));
-    return std::move(expansion_);
+    CAR_RETURN_IF_ERROR(options_.strategy == ExpansionStrategy::kExhaustive
+                            ? EnumerateExhaustive()
+                            : EnumeratePruned());
+    return Assemble(std::move(compounds_), subsets_visited_);
   }
 
-  /// Same post-enumeration assembly, but over a caller-provided compound
-  /// set (already canonically sorted, non-empty compounds only). The
-  /// derivation stages are shared with Build(), so the artifact is
+  /// The same derivation over a caller-provided compound set (already
+  /// canonically sorted, non-empty compounds only), so the artifact is
   /// exactly what Build() would produce had its enumeration emitted this
   /// set.
   Result<Expansion> BuildFrom(std::vector<CompoundClass> compounds) {
-    expansion_.schema = &schema_;
     CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion"));
-    expansion_.compound_classes.push_back(CompoundClass());
-    expansion_.compound_classes.reserve(compounds.size() + 1);
-    for (CompoundClass& compound : compounds) {
+    for (const CompoundClass& compound : compounds) {
       CAR_RETURN_IF_ERROR(GovChargeBytes(
           exec_,
           sizeof(CompoundClass) + compound.members().size() * sizeof(ClassId),
           "expansion"));
-      expansion_.compound_classes.push_back(std::move(compound));
     }
-    for (size_t i = 0; i < expansion_.compound_classes.size(); ++i) {
-      expansion_.compound_class_index_.emplace(
-          expansion_.compound_classes[i].members(), static_cast<int>(i));
-    }
-    BuildNatt();
-    BuildNrel();
-    CAR_RETURN_IF_ERROR(BuildCompoundAttributes());
-    CAR_RETURN_IF_ERROR(BuildCompoundRelations());
-    CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion"));
-    return std::move(expansion_);
+    return Assemble(std::move(compounds), 0);
   }
 
  private:
-  /// Output of one enumeration shard. Shards never touch the shared
-  /// expansion; everything is merged afterwards.
+  /// Output of one enumeration shard. Shards never touch shared state;
+  /// everything is merged afterwards.
   struct ShardOutput {
     std::vector<CompoundClass> compounds;
     size_t subsets_visited = 0;
     Status status;
   };
 
-  /// One pruned-DFS shard: a cluster plus fixed include/exclude decisions
-  /// for its first `prefix_bits` classes (bit j set = include position j).
+  /// One pruned-walk shard: a cluster plus forced decisions for its first
+  /// few classes.
   struct PrunedShard {
     const std::vector<ClassId>* cluster = nullptr;
-    uint64_t prefix = 0;
-    int prefix_bits = 0;
+    DecisionPrefix prefix;
   };
 
-  Status EnumerateCompoundClasses() {
-    if (options_.strategy == ExpansionStrategy::kExhaustive) {
-      return EnumerateExhaustive();
-    }
-    PairTableOptions table_options;
-    table_options.propagate = options_.propagate_tables;
-    PairTables tables = BuildPairTables(schema_, table_options);
-    if (options_.union_free_completion && schema_.IsUnionFree()) {
-      CompleteDisjointnessUnionFree(schema_, &tables);
-    }
-    ClusterPartition partition = options_.use_clusters
-                                     ? ComputeClusters(schema_, tables)
-                                     : SingleCluster(schema_);
-
+  /// Every shard walks the one pruned tree of its cluster.
+  Status EnumeratePruned() {
+    const ExpansionPreamble preamble =
+        BuildExpansionPreamble(schema_, options_);
     const int threads = EffectiveThreads(options_.num_threads);
     std::vector<PrunedShard> shards;
-    for (const std::vector<ClassId>& cluster : partition.clusters) {
+    for (const std::vector<ClassId>& cluster : preamble.partition.clusters) {
       const int bits = PrefixBits(cluster.size(), threads);
       for (uint64_t prefix = 0; prefix < (1ull << bits); ++prefix) {
-        shards.push_back({&cluster, prefix, bits});
+        shards.push_back({&cluster, {.bits = prefix, .length = bits}});
       }
     }
-
     std::vector<ShardOutput> outputs(shards.size());
-    ParallelFor(shards.size(), parallel_,
-                [this, &shards, &tables, &outputs](size_t begin, size_t end) {
-                  for (size_t s = begin; s < end; ++s) {
-                    RunPrunedShard(shards[s], tables, &outputs[s]);
-                  }
+    ParallelFor(
+        shards.size(), parallel_,
+        [this, &shards, &preamble, &outputs](size_t begin, size_t end) {
+          for (size_t s = begin; s < end; ++s) {
+            ShardOutput* out = &outputs[s];
+            out->status = WalkPrunedTree(
+                schema_, preamble.tables, *shards[s].cluster, shards[s].prefix,
+                exec_, &out->subsets_visited,
+                [this, out](CompoundClass compound) -> Result<WalkStep> {
+                  CAR_RETURN_IF_ERROR(EmitCompound(std::move(compound), out));
+                  return WalkStep::kContinue;
                 });
+          }
+        });
     return MergeShards(std::move(outputs));
   }
 
@@ -227,401 +198,89 @@ class ExpansionBuilder {
       }
       CompoundClass compound(std::move(members));
       if (compound.IsConsistent(schema_)) {
-        if (!EmitCompound(std::move(compound), out)) return;
+        out->status = EmitCompound(std::move(compound), out);
+        if (!out->status.ok()) return;
       }
-    }
-  }
-
-  /// Replays the shard's fixed prefix decisions through the same pruning
-  /// checks as the DFS (a prefix that the serial DFS would prune yields
-  /// an empty shard), then enumerates the remaining positions.
-  void RunPrunedShard(const PrunedShard& shard, const PairTables& tables,
-                      ShardOutput* out) {
-    std::vector<ClassId> included;
-    std::vector<bool> excluded(schema_.num_classes(), false);
-    for (int j = 0; j < shard.prefix_bits; ++j) {
-      const ClassId c = (*shard.cluster)[j];
-      if ((shard.prefix >> j) & 1) {
-        if (!CanInclude(tables, included, excluded, c)) return;
-        included.push_back(c);
-      } else {
-        if (!CanExclude(tables, included, c)) return;
-        excluded[c] = true;
-      }
-    }
-    DfsShard(*shard.cluster, shard.prefix_bits, tables, &included, &excluded,
-             out);
-  }
-
-  /// Pruning predicates, shared with the incremental delta path (see
-  /// expansion/cluster_enum.h) so both enumerations stay in lockstep.
-  bool CanInclude(const PairTables& tables,
-                  const std::vector<ClassId>& included,
-                  const std::vector<bool>& excluded, ClassId c) const {
-    return CanIncludeClass(tables, included, excluded, c);
-  }
-
-  bool CanExclude(const PairTables& tables,
-                  const std::vector<ClassId>& included, ClassId c) const {
-    return CanExcludeClass(tables, included, c);
-  }
-
-  /// Depth-first enumeration of the subsets of one cluster, pruned with
-  /// the disjointness and inclusion tables. `included` holds the chosen
-  /// classes; `excluded` marks classes decided out (classes of other
-  /// clusters are implicitly out and never consulted, because inclusion
-  /// and disjointness edges never cross clusters).
-  void DfsShard(const std::vector<ClassId>& cluster, size_t pos,
-                const PairTables& tables, std::vector<ClassId>* included,
-                std::vector<bool>* excluded, ShardOutput* out) {
-    if (!out->status.ok()) return;
-    // Cooperative stop: another shard (or an external canceller) tripped
-    // the context; this shard's partial output will be discarded.
-    if (GovCancelled(exec_)) return;
-    if (pos == cluster.size()) {
-      out->status = GovChargeWork(exec_, 1, "expansion");
-      if (!out->status.ok()) return;
-      ++out->subsets_visited;
-      if (included->empty()) return;  // The empty compound is preadded.
-      CompoundClass compound(*included);
-      if (compound.IsConsistent(schema_)) {
-        EmitCompound(std::move(compound), out);
-      }
-      return;
-    }
-    const ClassId c = cluster[pos];
-    if (CanInclude(tables, *included, *excluded, c)) {
-      included->push_back(c);
-      DfsShard(cluster, pos + 1, tables, included, excluded, out);
-      included->pop_back();
-    }
-    if (CanExclude(tables, *included, c)) {
-      (*excluded)[c] = true;
-      DfsShard(cluster, pos + 1, tables, included, excluded, out);
-      (*excluded)[c] = false;
     }
   }
 
   /// Appends to the shard, honoring the per-shard cap (a single shard at
-  /// the cap already implies the merged total exceeds it). Returns false
-  /// once the shard is dead.
-  bool EmitCompound(CompoundClass compound, ShardOutput* out) {
-    if (out->compounds.size() >= options_.max_compound_classes) {
-      out->status = GovRecordTrip(exec_, LimitKind::kMaxCompoundClasses,
-                                  "expansion", options_.max_compound_classes,
-                                  options_.max_compound_classes);
-      return false;
-    }
-    out->status = GovChargeBytes(
-        exec_,
-        sizeof(CompoundClass) + compound.members().size() * sizeof(ClassId),
-        "expansion");
-    if (!out->status.ok()) return false;
-    if (exec_ != nullptr) exec_->CountCompounds(1);
+  /// the cap already implies the merged total exceeds it).
+  Status EmitCompound(CompoundClass compound, ShardOutput* out) {
+    CAR_RETURN_IF_ERROR(
+        AdmitCompound(compound, out->compounds.size(), options_));
     out->compounds.push_back(std::move(compound));
-    return true;
+    return Status::Ok();
   }
 
-  /// Merges shard outputs in shard order, re-checks the global cap, and
-  /// canonically sorts the compound classes (the empty compound stays at
-  /// index 0 — it is lexicographically least). The sort makes compound
-  /// ids independent of sharding, thread count and enumeration order.
+  /// Merges shard outputs in shard order, re-checks the global cap (the
+  /// empty compound counts), and canonically sorts the compound classes.
+  /// The sort makes compound ids independent of sharding, thread count
+  /// and enumeration order.
   Status MergeShards(std::vector<ShardOutput> outputs) {
-    size_t total = expansion_.compound_classes.size();
+    size_t total = 1;
     for (ShardOutput& out : outputs) {
       CAR_RETURN_IF_ERROR(out.status);
-      expansion_.subsets_visited += out.subsets_visited;
+      subsets_visited_ += out.subsets_visited;
       total += out.compounds.size();
     }
-    // A trip recorded by a shard that kept its own status ok (external
-    // cancellation, deadline observed elsewhere) still fails the merge.
+    // A shard the pool skipped after a trip elsewhere kept its status ok;
+    // the trip still fails the merge.
     CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion"));
     if (total > options_.max_compound_classes) {
       return GovRecordTrip(exec_, LimitKind::kMaxCompoundClasses,
                            "expansion", options_.max_compound_classes,
                            options_.max_compound_classes);
     }
-    expansion_.compound_classes.reserve(total);
+    compounds_.reserve(total - 1);
     for (ShardOutput& out : outputs) {
       for (CompoundClass& compound : out.compounds) {
-        expansion_.compound_classes.push_back(std::move(compound));
+        compounds_.push_back(std::move(compound));
       }
     }
-    std::sort(expansion_.compound_classes.begin(),
-              expansion_.compound_classes.end());
-    for (size_t i = 0; i < expansion_.compound_classes.size(); ++i) {
-      expansion_.compound_class_index_.emplace(
-          expansion_.compound_classes[i].members(), static_cast<int>(i));
-    }
+    std::sort(compounds_.begin(), compounds_.end());
     return Status::Ok();
   }
 
-  void BuildNatt() {
-    for (size_t i = 0; i < expansion_.compound_classes.size(); ++i) {
-      const CompoundClass& compound = expansion_.compound_classes[i];
-      for (ClassId member : compound.members()) {
-        for (const AttributeSpec& spec :
-             schema_.class_definition(member).attributes) {
-          auto key = std::make_pair(spec.term, static_cast<int>(i));
-          auto [it, inserted] =
-              expansion_.natt.emplace(key, spec.cardinality);
-          if (!inserted) {
-            it->second = Cardinality::IntersectUnchecked(it->second,
-                                                         spec.cardinality);
-          }
-        }
-      }
+  /// Prepends the empty compound class (index 0: objects that are
+  /// instances of no class; lexicographically least, so the order stays
+  /// canonical) and derives the rest as the delta of `compounds` over the
+  /// expansion that holds only it, whose sections are then moved in.
+  Result<Expansion> Assemble(std::vector<CompoundClass> compounds,
+                             size_t subsets_visited) {
+    Expansion expansion;
+    expansion.schema = &schema_;
+    expansion.compound_classes.reserve(compounds.size() + 1);
+    expansion.compound_classes.push_back(CompoundClass());
+    ExpansionDelta delta;
+    delta.new_compound_classes = std::move(compounds);
+    CAR_RETURN_IF_ERROR(
+        PopulateDeltaExtensions(schema_, expansion, options_, &delta));
+    for (CompoundClass& compound : delta.new_compound_classes) {
+      expansion.compound_classes.push_back(std::move(compound));
     }
-  }
-
-  void BuildNrel() {
-    for (size_t i = 0; i < expansion_.compound_classes.size(); ++i) {
-      const CompoundClass& compound = expansion_.compound_classes[i];
-      for (ClassId member : compound.members()) {
-        for (const ParticipationSpec& spec :
-             schema_.class_definition(member).participations) {
-          const RelationDefinition* relation =
-              schema_.relation_definition(spec.relation);
-          CAR_CHECK(relation != nullptr);
-          int role_index = relation->RoleIndex(spec.role);
-          CAR_CHECK_GE(role_index, 0);
-          auto key = std::make_tuple(spec.relation, role_index,
-                                     static_cast<int>(i));
-          auto [it, inserted] =
-              expansion_.nrel.emplace(key, spec.cardinality);
-          if (!inserted) {
-            it->second = Cardinality::IntersectUnchecked(it->second,
-                                                         spec.cardinality);
-          }
-        }
-      }
+    expansion.compound_attributes = std::move(delta.new_compound_attributes);
+    expansion.compound_relations = std::move(delta.new_compound_relations);
+    expansion.natt = std::move(delta.new_natt);
+    expansion.nrel = std::move(delta.new_nrel);
+    expansion.ca_by_from = std::move(delta.new_ca_by_from);
+    expansion.ca_by_to = std::move(delta.new_ca_by_to);
+    expansion.cr_by_role = std::move(delta.new_cr_by_role);
+    expansion.subsets_visited = subsets_visited;
+    for (size_t i = 0; i < expansion.compound_classes.size(); ++i) {
+      expansion.compound_class_index_.emplace(
+          expansion.compound_classes[i].members(), static_cast<int>(i));
     }
-  }
-
-  Status BuildCompoundAttributes() {
-    CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion-filter"));
-    // Candidate endpoints that carry a Natt entry, per attribute.
-    std::vector<std::set<int>> constrained_from(schema_.num_attributes());
-    std::vector<std::set<int>> constrained_to(schema_.num_attributes());
-    for (const auto& [key, cardinality] : expansion_.natt) {
-      (void)cardinality;
-      const auto& [term, compound_index] = key;
-      if (term.inverse) {
-        constrained_to[term.attribute].insert(compound_index);
-      } else {
-        constrained_from[term.attribute].insert(compound_index);
-      }
-    }
-
-    const int num_compound = static_cast<int>(
-        expansion_.compound_classes.size());
-    for (AttributeId a = 0; a < schema_.num_attributes(); ++a) {
-      std::set<std::pair<int, int>> candidate_set;
-      for (int from : constrained_from[a]) {
-        for (int to = 0; to < num_compound; ++to) {
-          candidate_set.emplace(from, to);
-        }
-      }
-      for (int to : constrained_to[a]) {
-        for (int from = 0; from < num_compound; ++from) {
-          candidate_set.emplace(from, to);
-        }
-      }
-      // Consistency filtering is independent per candidate: filter in
-      // parallel, then append the survivors in candidate order (so index
-      // assignment matches the serial sweep exactly).
-      std::vector<std::pair<int, int>> candidates(candidate_set.begin(),
-                                                  candidate_set.end());
-      std::vector<char> keep(candidates.size(), 0);
-      ParallelForOptions filter_options = parallel_;
-      filter_options.min_chunk = 64;
-      ParallelFor(candidates.size(), filter_options,
-                  [this, a, &candidates, &keep](size_t begin, size_t end) {
-                    for (size_t i = begin; i < end; ++i) {
-                      // One work unit per filtered candidate; a tripped
-                      // context aborts the chunk (its outputs are
-                      // discarded with the whole build).
-                      if (!GovChargeWork(exec_, 1, "expansion-filter")
-                               .ok()) {
-                        return;
-                      }
-                      keep[i] = IsConsistentCompoundAttribute(
-                                    schema_, a,
-                                    expansion_
-                                        .compound_classes[candidates[i].first],
-                                    expansion_
-                                        .compound_classes[candidates[i].second])
-                                    ? 1
-                                    : 0;
-                    }
-                  });
-      CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion-filter"));
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (!keep[i]) continue;
-        if (expansion_.compound_attributes.size() >=
-            options_.max_compound_attributes) {
-          return GovRecordTrip(exec_, LimitKind::kMaxCompoundAttributes,
-                               "expansion-filter",
-                               options_.max_compound_attributes,
-                               options_.max_compound_attributes);
-        }
-        const auto& [from, to] = candidates[i];
-        int index = static_cast<int>(expansion_.compound_attributes.size());
-        expansion_.compound_attributes.push_back({a, from, to});
-        expansion_.ca_by_from[{a, from}].push_back(index);
-        expansion_.ca_by_to[{a, to}].push_back(index);
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Per-relation output of the compound-relation enumeration; merged in
-  /// relation-id order so indices match the serial sweep.
-  struct RelationOutput {
-    std::vector<CompoundRelation> relations;
-    Status status;
-  };
-
-  Status BuildCompoundRelations() {
-    CAR_RETURN_IF_ERROR(GovCheck(exec_, "expansion-relations"));
-    const size_t num_relations =
-        static_cast<size_t>(schema_.num_relations());
-    std::vector<RelationOutput> outputs(num_relations);
-    // Relations are independent of each other: enumerate them in
-    // parallel, one task per relation.
-    ParallelFor(num_relations, parallel_,
-                [this, &outputs](size_t begin, size_t end) {
-                  for (size_t r = begin; r < end; ++r) {
-                    EnumerateRelation(static_cast<RelationId>(r),
-                                      &outputs[r]);
-                  }
-                });
-    for (size_t r = 0; r < num_relations; ++r) {
-      CAR_RETURN_IF_ERROR(outputs[r].status);
-      for (CompoundRelation& cr : outputs[r].relations) {
-        if (expansion_.compound_relations.size() >=
-            options_.max_compound_relations) {
-          return GovRecordTrip(exec_, LimitKind::kMaxCompoundRelations,
-                               "expansion-relations",
-                               options_.max_compound_relations,
-                               options_.max_compound_relations);
-        }
-        const int arity = static_cast<int>(cr.components.size());
-        int index = static_cast<int>(expansion_.compound_relations.size());
-        for (int k = 0; k < arity; ++k) {
-          expansion_.cr_by_role[{cr.relation, k, cr.components[k]}]
-              .push_back(index);
-        }
-        expansion_.compound_relations.push_back(std::move(cr));
-      }
-    }
-    return Status::Ok();
-  }
-
-  void EnumerateRelation(RelationId r, RelationOutput* out) {
-    const RelationDefinition* definition = schema_.relation_definition(r);
-    if (definition == nullptr) return;
-    const int arity = definition->arity();
-    const int num_compound = static_cast<int>(
-        expansion_.compound_classes.size());
-
-    // Positions carrying Nrel entries; if none, tuples of R are never
-    // constrained and no unknowns are needed.
-    std::vector<std::set<int>> constrained(arity);
-    bool any_constraint = false;
-    for (const auto& [key, cardinality] : expansion_.nrel) {
-      (void)cardinality;
-      if (std::get<0>(key) != r) continue;
-      constrained[std::get<1>(key)].insert(std::get<2>(key));
-      any_constraint = true;
-    }
-    if (!any_constraint) return;
-
-    // Per-position prefilter: single-literal role-clauses restrict the
-    // compound class at their role unconditionally.
-    std::vector<std::vector<int>> allowed(arity);
-    for (int k = 0; k < arity; ++k) {
-      for (int i = 0; i < num_compound; ++i) {
-        bool ok = true;
-        for (const RoleClause& clause : definition->constraints) {
-          if (clause.literals.size() != 1) continue;
-          const RoleLiteral& literal = clause.literals[0];
-          if (definition->RoleIndex(literal.role) != k) continue;
-          if (!expansion_.compound_classes[i].Realizes(literal.formula)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) allowed[k].push_back(i);
-      }
-    }
-
-    // Enumerate component vectors where at least one position holds a
-    // constrained compound class; other positions range over their
-    // allowed sets. Duplicates across anchor positions are deduped.
-    std::set<std::vector<int>> seen;
-    for (int anchor = 0; anchor < arity; ++anchor) {
-      for (int anchored : constrained[anchor]) {
-        std::vector<int> components(arity, -1);
-        components[anchor] = anchored;
-        EnumerateRelationComponents(*definition, r, allowed, anchor, 0,
-                                    &components, &seen, out);
-        if (!out->status.ok()) return;
-      }
-    }
-  }
-
-  void EnumerateRelationComponents(const RelationDefinition& definition,
-                                   RelationId r,
-                                   const std::vector<std::vector<int>>&
-                                       allowed,
-                                   int anchor, int position,
-                                   std::vector<int>* components,
-                                   std::set<std::vector<int>>* seen,
-                                   RelationOutput* out) {
-    if (!out->status.ok()) return;
-    const int arity = definition.arity();
-    if (position == arity) {
-      out->status = GovChargeWork(exec_, 1, "expansion-relations");
-      if (!out->status.ok()) return;
-      if (!seen->insert(*components).second) return;
-      std::vector<const CompoundClass*> views;
-      views.reserve(arity);
-      for (int index : *components) {
-        views.push_back(&expansion_.compound_classes[index]);
-      }
-      if (!IsConsistentCompoundRelation(schema_, definition, views)) {
-        return;
-      }
-      if (out->relations.size() >= options_.max_compound_relations) {
-        out->status = GovRecordTrip(exec_, LimitKind::kMaxCompoundRelations,
-                                    "expansion-relations",
-                                    options_.max_compound_relations,
-                                    options_.max_compound_relations);
-        return;
-      }
-      out->relations.push_back({r, *components});
-      return;
-    }
-    if (position == anchor) {
-      EnumerateRelationComponents(definition, r, allowed, anchor,
-                                  position + 1, components, seen, out);
-      return;
-    }
-    for (int candidate : allowed[position]) {
-      (*components)[position] = candidate;
-      EnumerateRelationComponents(definition, r, allowed, anchor,
-                                  position + 1, components, seen, out);
-      if (!out->status.ok()) return;
-    }
-    (*components)[position] = -1;
+    return expansion;
   }
 
   const Schema& schema_;
   const ExpansionOptions& options_;
   ExecContext* exec_;
   ParallelForOptions parallel_;
-  Expansion expansion_;
+  /// The merged enumeration: non-empty compounds, canonically sorted.
+  std::vector<CompoundClass> compounds_;
+  size_t subsets_visited_ = 0;
 };
 
 Result<Expansion> BuildExpansion(const Schema& schema,

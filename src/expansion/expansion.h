@@ -65,12 +65,10 @@ struct Expansion {
   size_t subsets_visited = 0;
 
   /// Rebuilds every derived lookup index (ca_by_from, ca_by_to,
-  /// cr_by_role and the compound-class index) from the primary vectors,
-  /// exactly as the builder populated them: grouped indices appear in
-  /// ascending order because the replay walks the vectors in index
-  /// order, matching the builder's append order. For deserialized
-  /// expansions (src/persist), whose primary vectors arrive from disk
-  /// without the indexes.
+  /// cr_by_role and the compound-class index) from the primary vectors:
+  /// grouped indices appear in ascending order, the order in which the
+  /// derivation appends them. For deserialized expansions (src/persist),
+  /// whose primary vectors arrive from disk without the indexes.
   void RebuildDerivedIndexes();
 
   /// Returns the index of a compound class, or -1 if not present.
@@ -138,11 +136,12 @@ Result<Expansion> BuildExpansion(const Schema& schema,
 /// Assembles the expansion artifact over an explicitly given compound
 /// class set instead of enumerating one: prepends the empty compound
 /// (index 0), then derives Natt/Nrel and the constrained compound
-/// attributes/relations exactly as BuildExpansion does after its
-/// enumeration phase. `compounds` must hold non-empty, schema-consistent
-/// compound classes in canonical (sorted) order without duplicates; the
-/// result is bit-identical to what BuildExpansion would produce if its
-/// enumeration emitted exactly this set. Backbone of the lazy
+/// attributes/relations with the derivation BuildExpansion runs after its
+/// enumeration (PopulateDeltaExtensions). `compounds` must hold
+/// non-empty, schema-consistent compound classes in canonical (sorted)
+/// order without duplicates; the result is bit-identical to what
+/// BuildExpansion would produce if its enumeration emitted exactly this
+/// set. Backbone of the lazy
 /// (counterexample-guided) expansion engine, which materializes compound
 /// classes on demand instead of enumerating all of them up front.
 Result<Expansion> AssembleExpansion(const Schema& schema,

@@ -6,22 +6,19 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/clusters.h"
-#include "analysis/pair_tables.h"
 #include "base/result.h"
+#include "expansion/cluster_enum.h"
 #include "expansion/expansion.h"
 #include "model/schema.h"
 
 namespace car {
 
 /// Precomputed analysis of a frozen base expansion that incremental
-/// probes extend: the preselection tables and cluster partition the base
-/// enumeration used, plus each base compound class grouped under its
-/// cluster. Built once per session; read-only afterwards (shareable
-/// across probe threads).
+/// probes extend: the preamble the base enumeration ran under, plus each
+/// base compound class grouped under its cluster. Built once per session;
+/// read-only afterwards (shareable across probe threads).
 struct ExpansionBaseAnalysis {
-  PairTables tables;
-  ClusterPartition partition;
+  ExpansionPreamble preamble;
   /// Per base cluster: indices of the base compound classes whose members
   /// lie in that cluster (the empty compound, index 0, belongs to none).
   std::vector<std::vector<int>> cluster_compounds;
@@ -70,12 +67,10 @@ struct ExpansionDelta {
   bool HasNewCompounds() const { return !new_compound_classes.empty(); }
 };
 
-/// Builds the reusable base analysis. Replays exactly the preselection
-/// preamble of the pruned enumeration (pair tables with the configured
-/// propagation, union-free completion, clustering), so the recorded
-/// tables/partition are the ones the base expansion was enumerated with.
-/// Requires options.strategy == kPruned (the exhaustive strategy has no
-/// cluster structure to reuse).
+/// Builds the reusable base analysis: BuildExpansionPreamble with the
+/// options the base expansion was built with, so the recorded preamble is
+/// the one it was enumerated under. Requires options.strategy == kPruned
+/// (the exhaustive strategy has no cluster structure to reuse).
 Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
     const Schema& schema, const Expansion& base,
     const ExpansionOptions& options);
@@ -84,7 +79,8 @@ Result<ExpansionBaseAnalysis> AnalyzeBaseExpansion(
 /// the auxiliary class `aux`, which must be its last class). Clusters
 /// whose class list and within-cluster table rows are unchanged are
 /// reused wholesale (their compounds are already in the base); changed
-/// clusters are re-enumerated with the extended tables. Errors:
+/// clusters are walked again (WalkPrunedTree) under the extended
+/// schema's preamble. Errors:
 /// kFailedPrecondition when the base-prefix property cannot be
 /// established (caller falls back to from-scratch); kResourceExhausted /
 /// kCancelled on governor trips, exactly like BuildExpansion.
@@ -97,13 +93,16 @@ Result<ExpansionDelta> ExtendExpansionWithAuxClass(
 /// the base compound set, consistent with `schema`): the Natt/Nrel
 /// entries of the new compounds, and every new compound attribute/
 /// relation with at least one new endpoint — base pairs/tuples keep
-/// their base verdicts and are never re-filtered. Shared by the
-/// auxiliary-class probe extension above and by the lazy
-/// (counterexample-guided) expansion engine, whose refinement rounds
-/// materialize compound classes first and derive the rest here.
-/// Governor observation matches ExtendExpansionWithAuxClass: one
+/// their base verdicts and are never re-filtered. This is the one
+/// derivation of the expansion: BuildExpansion and AssembleExpansion run
+/// it over the expansion that holds only the empty compound (which has
+/// no Natt/Nrel entry, so every candidate is new), the auxiliary-class
+/// probe extension above and the lazy engine's refinement rounds over
+/// their bases. Candidate pairs are filtered in parallel and relations
+/// enumerated one task per relation under options.num_threads, with
+/// output bit-identical for every thread count. Governor: one
 /// "expansion-filter" / "expansion-relations" work unit per candidate,
-/// cap trips recorded with the same LimitKinds.
+/// cap trips recorded in those phases with the matching LimitKinds.
 Status PopulateDeltaExtensions(const Schema& schema, const Expansion& base,
                                const ExpansionOptions& options,
                                ExpansionDelta* delta);

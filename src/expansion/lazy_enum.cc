@@ -1,29 +1,8 @@
 #include "expansion/lazy_enum.h"
 
-#include <utility>
-
-#include "analysis/union_free.h"
 #include "base/check.h"
-#include "expansion/cluster_enum.h"
 
 namespace car {
-
-ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
-                                         const ExpansionOptions& options) {
-  // Same recipe as ExpansionBuilder::EnumerateCompoundClasses (and
-  // AnalyzeBaseExpansion): propagated pair tables, union-free completion
-  // when it applies, then the configured partition.
-  PairTableOptions table_options;
-  table_options.propagate = options.propagate_tables;
-  ExpansionPreamble preamble{BuildPairTables(schema, table_options), {}};
-  if (options.union_free_completion && schema.IsUnionFree()) {
-    CompleteDisjointnessUnionFree(schema, &preamble.tables);
-  }
-  preamble.partition = options.use_clusters
-                           ? ComputeClusters(schema, preamble.tables)
-                           : SingleCluster(schema);
-  return preamble;
-}
 
 bool IsPrunedCompound(const Schema& schema, const ExpansionPreamble& preamble,
                       const CompoundClass& compound) {
@@ -76,57 +55,19 @@ Status LazyCompoundStream::Advance(
     size_t limit, ExecContext* exec,
     const std::function<void(const CompoundClass&)>& sink) {
   if (exhausted_ || limit == 0) return Status::Ok();
-
-  // Replay the pruned decision tree from the root, skipping the leaves
-  // already delivered. The predicates and the leaf check are the ones the
-  // eager DFS uses, so a full assignment survives here iff it survives
-  // there — the pruning conditions (self-disjointness, pairwise
-  // disjointness, inclusion-closure under the tables) are properties of
-  // the final subset, independent of the decision order.
-  std::vector<ClassId> included;
-  std::vector<bool> excluded(schema_->num_classes(), false);
+  // Walk the tree from the root, skipping the compounds already delivered.
   size_t seen = 0;
   size_t produced = 0;
-  Status status;
-  bool done = false;
-
-  std::function<void(size_t)> dfs = [&](size_t pos) {
-    if (!status.ok() || done) return;
-    if (GovCancelled(exec)) {
-      status = GovCheck(exec, "expansion");
-      return;
-    }
-    if (pos == order_.size()) {
-      status = GovChargeWork(exec, 1, "expansion");
-      if (!status.ok()) return;
-      CompoundClass compound(included);
-      if (!compound.IsConsistent(*schema_)) return;
-      if (seen++ < delivered_) return;  // delivered by an earlier Advance
-      sink(compound);
-      ++delivered_;
-      if (++produced == limit) done = true;
-      return;
-    }
-    const ClassId c = order_[pos];
-    if (CanIncludeClass(*tables_, included, excluded, c)) {
-      included.push_back(c);
-      dfs(pos + 1);
-      included.pop_back();
-    }
-    // The pinned class (pos 0) only ever takes the include branch: every
-    // compound of this stream contains it.
-    if (pos == 0) return;
-    if (!status.ok() || done) return;
-    if (CanExcludeClass(*tables_, included, c)) {
-      excluded[c] = true;
-      dfs(pos + 1);
-      excluded[c] = false;
-    }
-  };
-  dfs(0);
-
-  if (status.ok() && !done) exhausted_ = true;
-  return status;
+  CAR_RETURN_IF_ERROR(WalkPrunedTree(
+      *schema_, *tables_, order_, DecisionPrefix{.bits = 1, .length = 1},
+      exec, nullptr, [&](const CompoundClass& compound) -> Result<WalkStep> {
+        if (seen++ < delivered_) return WalkStep::kContinue;
+        sink(compound);
+        ++delivered_;
+        return ++produced == limit ? WalkStep::kStop : WalkStep::kContinue;
+      }));
+  if (produced < limit) exhausted_ = true;
+  return Status::Ok();
 }
 
 }  // namespace car

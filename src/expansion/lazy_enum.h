@@ -5,30 +5,14 @@
 #include <set>
 #include <vector>
 
-#include "analysis/clusters.h"
 #include "analysis/pair_tables.h"
 #include "base/exec_context.h"
 #include "base/status.h"
+#include "expansion/cluster_enum.h"
 #include "expansion/compound.h"
-#include "expansion/expansion.h"
 #include "model/schema.h"
 
 namespace car {
-
-/// The preselection preamble of the pruned enumeration — pair tables with
-/// the configured propagation (and union-free completion when it
-/// applies), plus the cluster partition. The lazy expansion engine
-/// replays exactly the recipe ExpansionBuilder uses, so every compound it
-/// materializes is a member of the eager compound set and the partial
-/// expansion stays an index-stable prefix-compatible subset of the full
-/// one.
-struct ExpansionPreamble {
-  PairTables tables;
-  ClusterPartition partition;
-};
-
-ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
-                                         const ExpansionOptions& options);
 
 /// True when `compound` is a compound class of the full pruned expansion
 /// that `preamble` was built for: non-empty, inside one cluster, accepted
@@ -36,18 +20,18 @@ ExpansionPreamble BuildExpansionPreamble(const Schema& schema,
 /// checked on the final subset — no member self-disjoint, no two members
 /// disjoint, no recorded superclass of a member left out of the member's
 /// cluster — which is exactly what the include/exclude predicates of the
-/// DFS enforce in any decision order. Lets a lazy run reuse compounds
+/// walk enforce in any decision order. Lets a lazy run reuse compounds
 /// streamed from another schema (a session's base schema, for a probe's
 /// aux-extended one) only after confirming they belong to this one.
 bool IsPrunedCompound(const Schema& schema, const ExpansionPreamble& preamble,
                       const CompoundClass& compound);
 
 /// A resumable stream of the consistent compound classes containing one
-/// pinned class, in a fixed canonical order (the pruned DFS over the
-/// pinned class's cluster, with the pinned class decided first and
-/// forced in). Each Advance call re-traverses the pruned decision tree
+/// pinned class, in a fixed canonical order: the eager pruned walk
+/// (WalkPrunedTree) over the pinned class's cluster, with the pinned
+/// class decided first and forced in. Each Advance call re-walks the tree
 /// and skips the compounds already delivered, so the stream needs no
-/// persistent DFS state and stays cheap while deliveries are shallow —
+/// persistent walk state and stays cheap while deliveries are shallow —
 /// the regime the lazy engine operates in (a handful of batches per
 /// class, versus the exponential full enumeration it avoids).
 ///
@@ -55,8 +39,8 @@ bool IsPrunedCompound(const Schema& schema, const ExpansionPreamble& preamble,
 /// pinned ∈ C̄ }: the pruning predicates accept an assignment
 /// independently of decision order (self-disjointness, pairwise
 /// disjointness and inclusion-closure are properties of the final
-/// subset), and the leaf consistency check is shared with the eager
-/// builder.
+/// subset), so moving the pinned class to the front changes the order of
+/// the leaves, not the set.
 class LazyCompoundStream {
  public:
   /// `cluster` is the pinned class's cluster (must contain `pinned`);
@@ -68,9 +52,9 @@ class LazyCompoundStream {
 
   /// Delivers up to `limit` further compounds into `sink` (in stream
   /// order), charging one "expansion" work unit per subset visited.
-  /// Returns the governor's trip status on aborts; the stream is then
-  /// mid-replay and a later Advance re-delivers nothing twice (only
-  /// compounds actually sunk count as delivered).
+  /// Returns the governor's trip status on aborts; a later Advance
+  /// re-delivers nothing twice (only compounds actually sunk count as
+  /// delivered).
   Status Advance(size_t limit, ExecContext* exec,
                  const std::function<void(const CompoundClass&)>& sink);
 

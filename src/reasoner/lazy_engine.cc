@@ -417,7 +417,7 @@ Result<LazyOutcome> RunLazyExpansion(
     // keeps satisfiable dense runs at zero probe cost (their target
     // streams never exhaust) and is itself the first closure condition.
     std::vector<ClassId> certificate_hints;
-    if (lazy_options.unsat_probes && !uncovered.empty()) {
+    if (!uncovered.empty()) {
       std::vector<ClassId> eligible;
       for (ClassId c : uncovered) {
         if (all_compounds_materialized(c)) eligible.push_back(c);
@@ -495,17 +495,14 @@ Result<LazyOutcome> RunLazyExpansion(
     }
 
     if (uncovered.empty()) {
-      if (lazy_options.validate_witness) {
-        CAR_ASSIGN_OR_RETURN(
-            Expansion canonical,
-            AssembleExpansion(schema, ledger.Compounds(),
-                              expansion_options));
-        if (!ValidateAsWitness(schema, canonical, global_cc, global_ca,
-                               global_cr, partial)) {
-          out.spurious_witness = true;
-          if (exec != nullptr) exec->CountSpuriousWitnesses(1);
-          return out;  // Inconclusive: the eager fallback answers.
-        }
+      CAR_ASSIGN_OR_RETURN(
+          Expansion canonical,
+          AssembleExpansion(schema, ledger.Compounds(), expansion_options));
+      if (!ValidateAsWitness(schema, canonical, global_cc, global_ca,
+                             global_cr, partial)) {
+        out.spurious_witness = true;
+        if (exec != nullptr) exec->CountSpuriousWitnesses(1);
+        return out;  // Inconclusive: the eager fallback answers.
       }
       for (ClassId c : open) out.class_satisfiable[c] = true;
       out.conclusive = true;

@@ -28,19 +28,6 @@ struct LazyExpansionOptions {
   /// Materialization cap on what a run adds beyond the base it was
   /// handed; reaching it declares inconclusive.
   size_t max_materialized = 4096;
-  /// Validate the concluding partial solution as a semantic model
-  /// witness (semantics/witness_check) before answering; a spurious
-  /// witness forces the eager fallback instead of an answer.
-  bool validate_witness = true;
-  /// UNSAT-side refinement: probe uncovered targets whose own stream is
-  /// exhausted with a raw feasibility LP, learn the Farkas certificate of
-  /// an infeasible probe as a blocking constraint, conclude UNSAT when
-  /// the certificate is closed under the absent columns
-  /// (semantics/certificate_check), and otherwise drive the next
-  /// materialization round with the certificate's violating classes
-  /// instead of the fixed batch. Off = PR 9 behavior (such targets stall
-  /// into the eager fallback).
-  bool unsat_probes = true;
 };
 
 /// What one lazy run reports. `conclusive` is the contract: when false,

@@ -2,10 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "analysis/clusters.h"
 #include "analysis/pair_tables.h"
+#include "base/rng.h"
+#include "expansion/expansion_delta.h"
+#include "expansion/lazy_enum.h"
+#include "frontend/parser.h"
 #include "model/builder.h"
+#include "reasoner/reasoner.h"
 #include "test_schemas.h"
+#include "workloads/generators.h"
+#include "workloads/query_batch.h"
 
 namespace car {
 namespace {
@@ -287,6 +303,358 @@ TEST(ClustersTest, ClusterDecompositionShrinksEnumeration) {
   // unions, which the clustered one soundly omits (Theorem 4.6).
   EXPECT_EQ(fast->compound_classes.size(), 1u + 3u * towers);
   EXPECT_GT(slow->compound_classes.size(), fast->compound_classes.size());
+}
+
+// --- Pinned artifacts -----------------------------------------------------
+//
+// The suites above and the differential suites compare engines with each
+// other; these tests hold every artifact the expansion engine returns to
+// fixed digests: compound order, compound-attribute and compound-relation
+// order (the Ψ column order, and with it every pivot path), Natt, Nrel,
+// the derived indexes and the work counters, at 1 and 8 threads.
+
+/// FNV-1a over a canonical rendering: any change to an element, to its
+/// position or to a count changes the digest.
+class Digest {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void AddInts(const std::vector<int>& values) {
+    Add(values.size());
+    for (int value : values) Add(static_cast<uint64_t>(value));
+  }
+  void AddCardinality(const Cardinality& cardinality) {
+    Add(cardinality.min());
+    Add(cardinality.max());
+  }
+  std::string Hex() const {
+    std::ostringstream out;
+    out << std::hex << hash_;
+    return out.str();
+  }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void AddCompounds(const std::vector<CompoundClass>& compounds, Digest* d) {
+  d->Add(compounds.size());
+  for (const CompoundClass& compound : compounds) {
+    d->AddInts(compound.members());
+  }
+}
+
+void AddSections(
+    const std::vector<CompoundAttribute>& attributes,
+    const std::vector<CompoundRelation>& relations,
+    const std::map<std::pair<AttributeTerm, int>, Cardinality>& natt,
+    const std::map<std::tuple<RelationId, int, int>, Cardinality>& nrel,
+    const std::map<std::pair<AttributeId, int>, std::vector<int>>& by_from,
+    const std::map<std::pair<AttributeId, int>, std::vector<int>>& by_to,
+    const std::map<std::tuple<RelationId, int, int>, std::vector<int>>&
+        by_role,
+    Digest* d) {
+  d->Add(attributes.size());
+  for (const CompoundAttribute& ca : attributes) {
+    d->Add(ca.attribute);
+    d->Add(ca.from);
+    d->Add(ca.to);
+  }
+  d->Add(relations.size());
+  for (const CompoundRelation& cr : relations) {
+    d->Add(cr.relation);
+    d->AddInts(cr.components);
+  }
+  d->Add(natt.size());
+  for (const auto& [key, cardinality] : natt) {
+    d->Add(key.first.attribute);
+    d->Add(key.first.inverse);
+    d->Add(key.second);
+    d->AddCardinality(cardinality);
+  }
+  d->Add(nrel.size());
+  for (const auto& [key, cardinality] : nrel) {
+    d->Add(std::get<0>(key));
+    d->Add(std::get<1>(key));
+    d->Add(std::get<2>(key));
+    d->AddCardinality(cardinality);
+  }
+  for (const auto* index : {&by_from, &by_to}) {
+    d->Add(index->size());
+    for (const auto& [key, list] : *index) {
+      d->Add(key.first);
+      d->Add(key.second);
+      d->AddInts(list);
+    }
+  }
+  d->Add(by_role.size());
+  for (const auto& [key, list] : by_role) {
+    d->Add(std::get<0>(key));
+    d->Add(std::get<1>(key));
+    d->Add(std::get<2>(key));
+    d->AddInts(list);
+  }
+}
+
+void AddExpansion(const Expansion& expansion, Digest* d) {
+  AddCompounds(expansion.compound_classes, d);
+  AddSections(expansion.compound_attributes, expansion.compound_relations,
+              expansion.natt, expansion.nrel, expansion.ca_by_from,
+              expansion.ca_by_to, expansion.cr_by_role, d);
+  d->Add(expansion.subsets_visited);
+  // The compound-class index is not a section of its own; check it here.
+  for (size_t i = 0; i < expansion.compound_classes.size(); ++i) {
+    EXPECT_EQ(expansion.IndexOfCompoundClass(expansion.compound_classes[i]),
+              static_cast<int>(i));
+  }
+}
+
+std::string DigestOf(const Expansion& expansion) {
+  Digest d;
+  AddExpansion(expansion, &d);
+  return d.Hex();
+}
+
+void AddDelta(const ExpansionDelta& delta, Digest* d) {
+  AddCompounds(delta.new_compound_classes, d);
+  AddSections(delta.new_compound_attributes, delta.new_compound_relations,
+              delta.new_natt, delta.new_nrel, delta.new_ca_by_from,
+              delta.new_ca_by_to, delta.new_cr_by_role, d);
+  d->Add(delta.clusters_reused);
+  d->Add(delta.clusters_reenumerated);
+  d->Add(delta.subsets_visited);
+}
+
+std::vector<std::pair<std::string, Schema>> PinnedSchemas() {
+  std::vector<std::pair<std::string, Schema>> schemas;
+  schemas.emplace_back("figure2", testing_schemas::Figure2());
+  {
+    std::ifstream file(std::string(CAR_EXAMPLES_DIR) + "/university.car");
+    std::ostringstream text;
+    text << file.rdbuf();
+    Result<Schema> university = ParseSchema(text.str());
+    CAR_CHECK(university.ok()) << university.status();
+    schemas.emplace_back("university", std::move(university).value());
+  }
+  schemas.emplace_back("chain-12x3", GenerateChainSchema(ChainParams{12, 3}));
+  {
+    Rng rng(41);
+    schemas.emplace_back("hierarchy",
+                         GenerateHierarchy(&rng, HierarchyParams{}));
+  }
+  {
+    Rng rng(42);
+    schemas.emplace_back("clustered",
+                         GenerateClusteredSchema(&rng, ClusteredParams{}));
+  }
+  for (uint64_t seed : {101, 202, 303}) {
+    Rng rng(seed);
+    GeneralSchemaParams params;
+    params.num_relations = 2;
+    schemas.emplace_back(StrCat("general-", seed),
+                         RandomGeneralSchema(&rng, params));
+  }
+  DenseBlowupParams blowup;
+  blowup.chaff_classes = 10;
+  schemas.emplace_back("dense-blowup-10", GenerateDenseBlowupSchema(blowup));
+  return schemas;
+}
+
+ExpansionOptions PinnedOptions(int threads) {
+  ExpansionOptions options;
+  options.num_threads = threads;
+  return options;
+}
+
+/// Looks up the pinned digest of `name`; a missing entry fails the test
+/// and prints the value to pin.
+void ExpectPinned(const std::map<std::string, std::string>& pinned,
+                  const std::string& name, int threads,
+                  const std::string& actual) {
+  auto it = pinned.find(name);
+  ASSERT_NE(it, pinned.end()) << "unpinned: {\"" << name << "\", \""
+                              << actual << "\"}";
+  EXPECT_EQ(it->second, actual) << name << " threads=" << threads;
+}
+
+TEST(ExpansionPinTest, BuildExpansionMatchesPinnedDigests) {
+  const std::map<std::string, std::string> pinned = {
+      {"figure2", "9b27f24943a329da"},
+      {"university", "9f411ac5defa4dfc"},
+      {"chain-12x3", "3dc47658c7076e24"},
+      {"hierarchy", "d864dcb15b481682"},
+      {"clustered", "f8d6ceea6c3aed34"},
+      {"general-101", "6b79eab5a092f0a"},
+      {"general-202", "acbcc97c9f8426a"},
+      {"general-303", "ccd0311002c8a04c"},
+      {"dense-blowup-10", "99bb49c9764fedc0"},
+  };
+  for (const auto& [name, schema] : PinnedSchemas()) {
+    for (int threads : {1, 8}) {
+      Result<Expansion> expansion =
+          BuildExpansion(schema, PinnedOptions(threads));
+      ASSERT_TRUE(expansion.ok()) << name << ": " << expansion.status();
+      ExpectPinned(pinned, name, threads, DigestOf(*expansion));
+    }
+  }
+}
+
+TEST(ExpansionPinTest, AssembleExpansionMatchesPinnedDigests) {
+  // AssembleExpansion over the built compounds, and the delta of the
+  // odd-indexed compounds over the expansion assembled from the even
+  // ones: new compounds interleave with the base, as in a lazy run.
+  const std::map<std::string, std::string> pinned = {
+      {"figure2", "655c2beed64a4490"},
+      {"figure2/split", "404a5222605aab78"},
+      {"university", "e560708f9d5e9136"},
+      {"university/split", "cf7c1ac83bf51732"},
+      {"chain-12x3", "633cad43e354f57e"},
+      {"chain-12x3/split", "30d0a0bf9f6413ec"},
+      {"hierarchy", "c8114d420a3cb892"},
+      {"hierarchy/split", "f849167ed213818c"},
+      {"clustered", "8d3f4235918922a0"},
+      {"clustered/split", "6507e38b17f726a1"},
+      {"general-101", "a81af1baa213dee8"},
+      {"general-101/split", "111506a0a582abaa"},
+      {"general-202", "93b1c8801871e560"},
+      {"general-202/split", "6ba07d9ad2febe4"},
+      {"general-303", "b5ff31bea05f0523"},
+      {"general-303/split", "f86562536451426c"},
+      {"dense-blowup-10", "5214e2d79cd15ac9"},
+      {"dense-blowup-10/split", "70cf0fe79648719b"},
+  };
+  for (const auto& [name, schema] : PinnedSchemas()) {
+    Result<Expansion> built = BuildExpansion(schema, PinnedOptions(1));
+    ASSERT_TRUE(built.ok()) << name << ": " << built.status();
+    const std::vector<CompoundClass> compounds(
+        built->compound_classes.begin() + 1, built->compound_classes.end());
+    std::vector<CompoundClass> even;
+    std::vector<CompoundClass> odd;
+    for (size_t i = 0; i < compounds.size(); ++i) {
+      (i % 2 == 0 ? even : odd).push_back(compounds[i]);
+    }
+    for (int threads : {1, 8}) {
+      const ExpansionOptions options = PinnedOptions(threads);
+      Result<Expansion> assembled =
+          AssembleExpansion(schema, compounds, options);
+      ASSERT_TRUE(assembled.ok()) << name << ": " << assembled.status();
+      ExpectPinned(pinned, name, threads, DigestOf(*assembled));
+
+      Result<Expansion> base = AssembleExpansion(schema, even, options);
+      ASSERT_TRUE(base.ok()) << name << ": " << base.status();
+      ExpansionDelta delta;
+      delta.new_compound_classes = odd;
+      Status status = PopulateDeltaExtensions(schema, *base, options, &delta);
+      ASSERT_TRUE(status.ok()) << name << ": " << status;
+      Digest d;
+      AddExpansion(*base, &d);
+      AddDelta(delta, &d);
+      ExpectPinned(pinned, name + "/split", threads, d.Hex());
+    }
+  }
+}
+
+TEST(ExpansionPinTest, ExtendExpansionMatchesPinnedDigests) {
+  // The aux-class probes of a generated query batch, as the reasoner's
+  // implication reduction builds them. The oracle answers "unsatisfiable"
+  // so every clause of an isa query is probed.
+  const std::map<std::string, std::string> pinned = {
+      {"figure2", "a165e7a6b8b6a07c"},
+      {"university", "eaa8d11b82c1af75"},
+      {"chain-12x3", "e24a127dad290445"},
+      {"hierarchy", "2298bf997ed9389c"},
+      {"clustered", "6b5806456e7e85d1"},
+      {"general-101", "8fa244d565e6daf2"},
+      {"general-202", "b5799df9b524c1ab"},
+      {"general-303", "17829974c034cba7"},
+      {"dense-blowup-10", "a2cabec0559ef4c6"},
+  };
+  for (const auto& [name, schema] : PinnedSchemas()) {
+    Rng rng(7);
+    std::vector<ImplicationQuery> queries =
+        GenerateImplicationBatch(schema, &rng, 6);
+    if (name == "dense-blowup-10") {
+      // The generated probes tie the chaff and core clusters together, a
+      // minute of derivation each; probe inside each cluster instead.
+      queries.clear();
+      for (const auto& [sub, super] :
+           {std::pair{"D1", "D0"}, std::pair{"E1", "E0"}}) {
+        ImplicationQuery query;
+        query.class_id = schema.LookupClass(sub);
+        query.formula = ClassFormula::OfClass(schema.LookupClass(super));
+        queries.push_back(query);
+      }
+    }
+    for (int threads : {1, 8}) {
+      const ExpansionOptions options = PinnedOptions(threads);
+      Result<Expansion> base = BuildExpansion(schema, options);
+      ASSERT_TRUE(base.ok()) << name << ": " << base.status();
+      Result<ExpansionBaseAnalysis> analysis =
+          AnalyzeBaseExpansion(schema, *base, options);
+      ASSERT_TRUE(analysis.ok()) << name << ": " << analysis.status();
+      Digest d;
+      for (const auto& [classes, cluster] : analysis->cluster_by_classes) {
+        d.AddInts(classes);
+        d.AddInts(analysis->cluster_compounds[cluster]);
+      }
+      const AuxSatisfiableFn probe =
+          [&](const Schema& extended, ClassId aux) -> Result<bool> {
+        Result<ExpansionDelta> delta = ExtendExpansionWithAuxClass(
+            extended, aux, *base, *analysis, options);
+        d.Add(static_cast<uint64_t>(delta.status().code()));
+        if (delta.ok()) AddDelta(*delta, &d);
+        return false;
+      };
+      for (const ImplicationQuery& query : queries) {
+        ASSERT_TRUE(DecideImplication(schema, query, probe).ok()) << name;
+      }
+      ExpectPinned(pinned, name, threads, d.Hex());
+    }
+  }
+}
+
+TEST(ExpansionPinTest, LazyStreamsMatchPinnedDigests) {
+  // The delivery order of every class's stream, in batches of 7, for up
+  // to ten batches (the dense chaff streams run to 2^9 compounds).
+  const std::map<std::string, std::string> pinned = {
+      {"figure2", "4e54b3aa74b7c600"},
+      {"university", "d061de226a457a01"},
+      {"chain-12x3", "a3adc110e09f8ec8"},
+      {"hierarchy", "e2e33d5bd4302ecf"},
+      {"clustered", "2f301f1d54c47725"},
+      {"general-101", "352c6805eb62d9d1"},
+      {"general-202", "2f5f250db72f2de4"},
+      {"general-303", "ef0f714c3f1a4de2"},
+      {"dense-blowup-10", "d115a746240c7fe5"},
+  };
+  for (const auto& [name, schema] : PinnedSchemas()) {
+    const ExpansionOptions options = PinnedOptions(1);
+    const ExpansionPreamble preamble = BuildExpansionPreamble(schema, options);
+    Digest d;
+    for (ClassId pinned_class = 0; pinned_class < schema.num_classes();
+         ++pinned_class) {
+      const std::vector<ClassId>& cluster =
+          preamble.partition
+              .clusters[preamble.partition.cluster_of[pinned_class]];
+      LazyCompoundStream stream(schema, preamble.tables, cluster,
+                                pinned_class);
+      for (int batch = 0; batch < 10 && !stream.exhausted(); ++batch) {
+        ASSERT_TRUE(stream
+                        .Advance(7, nullptr,
+                                 [&](const CompoundClass& compound) {
+                                   d.AddInts(compound.members());
+                                 })
+                        .ok());
+      }
+      d.Add(stream.delivered());
+      d.Add(stream.exhausted());
+    }
+    ExpectPinned(pinned, name, 1, d.Hex());
+  }
 }
 
 }  // namespace

@@ -173,31 +173,6 @@ TEST(DenseUnsatTest, ConcludesUnsatBeyondEagerCap) {
   }
 }
 
-TEST(DenseUnsatTest, ProbesDisabledFallsBackToEagerVerdict) {
-  // With unsat_probes off (the PR 9 behavior) the exhausted-and-
-  // uncovered core targets stall the lazy engine into the eager
-  // fallback; the composite answer must still be exact on a cell small
-  // enough for eager to finish.
-  DenseUnsatParams params;
-  params.chaff_classes = 6;
-  params.core_classes = 3;
-  Schema schema = GenerateDenseUnsatSchema(params);
-
-  Reasoner reference(&schema, ReasonerOptions{});
-  auto expected = reference.CheckSchema();
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  ReasonerOptions options = LazyOptions();
-  options.lazy.unsat_probes = false;
-  Reasoner lazy(&schema, options);
-  auto report = lazy.CheckSchema();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(expected->verdict, report->verdict);
-  EXPECT_EQ(expected->class_satisfiable, report->class_satisfiable);
-  EXPECT_FALSE(report->lazy)
-      << "without probes this schema must take the eager fallback";
-}
-
 TEST(DenseUnsatTest, IncrementalSessionCountsCertificateClosures) {
   // Satisfiability probes routed through a lazy incremental session must
   // agree with the reference and surface the new UNSAT-side counters.
