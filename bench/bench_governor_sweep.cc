@@ -13,14 +13,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <algorithm>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "base/exec_context.h"
 #include "base/rng.h"
+#include "bench_harness.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
 
@@ -28,12 +27,7 @@ namespace car {
 namespace {
 
 int Main(int argc, char** argv) {
-  int num_threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      num_threads = std::atoi(argv[i] + 10);
-    }
-  }
+  const int num_threads = bench::ParseFlags(argc, argv, 1, nullptr).threads;
 
   // Full (ungoverned) CheckSchema cost grows ~12x per size step on this
   // workload: ~1 ms at size 5 up to ~90 s at size 9 — the deadline range
@@ -84,11 +78,7 @@ int Main(int argc, char** argv) {
         ++sat;
       }
     }
-    uint64_t median = 0;
-    if (!compounds_at_trip.empty()) {
-      std::sort(compounds_at_trip.begin(), compounds_at_trip.end());
-      median = compounds_at_trip[compounds_at_trip.size() / 2];
-    }
+    const uint64_t median = bench::Percentile(compounds_at_trip, 50);
     std::string phases;
     for (const auto& [phase, n] : trip_phases) {
       if (!phases.empty()) phases += ", ";

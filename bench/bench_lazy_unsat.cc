@@ -17,78 +17,46 @@
 // beyond the eager cap — eager cannot answer at all while lazy returns
 // a conclusive UNSAT with zero fallbacks (gated in CI).
 //
-// Usage: bench_lazy_unsat [--threads=N] [--smoke] [--out=FILE]
-//   --smoke  tiny workload for CI: two small cells plus the beyond-cap
-//            cell (cheap for the lazy engine by construction)
+// Usage: bench_lazy_unsat [--threads=N] [--out=FILE]
 //
-// Output: one JSON-lines record per cell in BENCH_lazy_unsat.json,
-// gated by the CI bench-smoke job (answers_identical, a conclusive lazy
-// UNSAT where eager tripped its cap, lazy_ms <= eager_ms where both
-// completed).
+// Output: one JSON-lines record per cell in BENCH_lazy_unsat.json;
+// bench/check_bench.py holds lazy <= eager on the two smallest cells.
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
+#include "bench_harness.h"
 #include "reasoner/reasoner.h"
 #include "workloads/generators.h"
 
 namespace car {
 namespace {
 
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 int Main(int argc, char** argv) {
-  int num_threads = 1;
-  bool smoke = false;
-  std::string out_path = "BENCH_lazy_unsat.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      num_threads = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
-  }
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, 1, "BENCH_lazy_unsat.json");
 
   struct Cell {
     std::string name;
     DenseUnsatParams params;
   };
-  std::vector<Cell> cells;
-  if (smoke) {
-    cells.push_back({"unsat-8+3", {8, 3, 2}});
-    cells.push_back({"unsat-10+3", {10, 3, 2}});
-    // The beyond-cap cell stays in the smoke set: it is the property the
-    // CI gate exists for, and the lazy engine makes it cheap.
-    cells.push_back({"unsat-22+4", {22, 4, 2}});
-  } else {
-    cells.push_back({"unsat-10+3", {10, 3, 2}});
-    cells.push_back({"unsat-12+4", {12, 4, 2}});
-    cells.push_back({"unsat-14+4", {14, 4, 2}});
-    cells.push_back({"unsat-16+4", {16, 4, 2}});
-    // Past the eager enumeration cap: eager cannot answer at all.
-    cells.push_back({"unsat-22+4", {22, 4, 2}});
-  }
-  const std::vector<int> lazy_threads = {1, 2, 8};
+  const std::vector<Cell> cells = {
+      {"unsat-8+3", {8, 3, 2}},
+      {"unsat-10+3", {10, 3, 2}},
+      {"unsat-12+4", {12, 4, 2}},
+      {"unsat-14+4", {14, 4, 2}},
+      {"unsat-16+4", {16, 4, 2}},
+      // Past the eager enumeration cap: eager cannot answer at all.
+      {"unsat-22+4", {22, 4, 2}},
+  };
 
-  bench::JsonLinesFile out(out_path);
-  if (!out.ok()) {
-    std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
-    return 1;
-  }
+  bench::JsonLinesFile out(flags.out_path);
+  if (!out.ok()) return 1;
 
   std::printf("EXP-U: lazy UNSAT (blocking constraints) vs eager expansion "
-              "on dense unsat schemas (threads=%d%s)\n\n",
-              num_threads, smoke ? ", smoke" : "");
+              "on dense unsat schemas (threads=%d)\n\n",
+              flags.threads);
   std::printf("| schema | eager (ms) | lazy (ms) | speedup | materialized "
               "| total | blocked | closures | fallbacks |\n");
   std::printf("|---|---|---|---|---|---|---|---|---|\n");
@@ -98,101 +66,55 @@ int Main(int argc, char** argv) {
   for (const Cell& cell : cells) {
     Schema schema = GenerateDenseUnsatSchema(cell.params);
 
-    // Eager reference (ungoverned: a cap trip arrives as an error
-    // status, which just marks the cell eager-incomplete).
-    ReasonerOptions eager_options;
-    eager_options.num_threads = num_threads;
-    Reasoner eager(&schema, eager_options);
-    auto eager_start = std::chrono::steady_clock::now();
-    auto eager_report = eager.CheckSchema();
-    double eager_ms = MillisSince(eager_start);
-    const bool eager_completed = eager_report.ok();
+    bench::LazyVsEager run;
+    if (!bench::RunLazyVsEager(schema, flags.threads, &run)) return 1;
+    const SatReport& report = *run.lazy;
+    const bool eager_completed = run.eager.ok();
     // Analytic full-expansion size (test-verified exact), reported even
     // where the eager build tripped before counting.
     const uint64_t compounds_total = DenseUnsatCompoundCount(cell.params);
-
-    // Lazy at each thread count; verdicts must agree with each other
-    // (and with eager where eager completed).
-    double lazy_ms = 0.0;
-    uint64_t materialized = 0;
-    uint64_t rounds = 0;
-    uint64_t blocked = 0;
-    uint64_t closures = 0;
-    uint64_t fallbacks = 0;
-    bool lazy_conclusive = false;
-    bool verdict_unsat = false;
-    bool identical = true;
-    std::vector<bool> first_classwise;
-    for (size_t i = 0; i < lazy_threads.size(); ++i) {
-      ReasonerOptions lazy_options;
-      lazy_options.num_threads = lazy_threads[i];
-      lazy_options.lazy_expansion = true;
-      Reasoner lazy(&schema, lazy_options);
-      auto lazy_start = std::chrono::steady_clock::now();
-      auto report = lazy.CheckSchema();
-      double ms = MillisSince(lazy_start);
-      if (!report.ok()) {
-        std::fprintf(stderr, "lazy %s threads=%d: %s\n", cell.name.c_str(),
-                     lazy_threads[i], report.status().ToString().c_str());
-        return 1;
-      }
-      if (i == 0) {
-        lazy_ms = ms;  // The reported time is the serial lazy run.
-        materialized = report->compounds_materialized;
-        rounds = report->refinement_rounds;
-        blocked = report->blocking_constraints;
-        closures = report->certificate_closures;
-        lazy_conclusive = report->lazy;
-        verdict_unsat = report->verdict == Verdict::kUnsat;
-        first_classwise = report->class_satisfiable;
-        if (!report->lazy) ++fallbacks;
-        if (eager_completed) {
-          identical = identical &&
-                      eager_report->verdict == report->verdict &&
-                      eager_report->class_satisfiable ==
-                          report->class_satisfiable;
-        }
-      } else {
-        identical =
-            identical && report->class_satisfiable == first_classwise;
-      }
-    }
-    all_identical = all_identical && identical;
+    all_identical = all_identical && run.identical;
+    const uint64_t materialized = report.compounds_materialized;
+    const uint64_t rounds = report.refinement_rounds;
+    const uint64_t blocked = report.blocking_constraints;
+    const uint64_t closures = report.certificate_closures;
+    const bool lazy_conclusive = report.lazy;
+    const bool verdict_unsat = report.verdict == Verdict::kUnsat;
+    const uint64_t fallbacks = lazy_conclusive ? 0 : 1;
     if (!eager_completed && lazy_conclusive && verdict_unsat &&
         fallbacks == 0) {
       beyond_cap_concluded = true;
     }
 
-    double speedup = (eager_completed && lazy_ms > 0)
-                         ? eager_ms / lazy_ms
+    double speedup = (eager_completed && run.lazy_ms > 0)
+                         ? run.eager_ms / run.lazy_ms
                          : 0.0;
     std::printf(
         "| %s | %s | %.2f | %s | %llu | %llu | %llu | %llu | %llu |%s\n",
         cell.name.c_str(),
-        eager_completed ? std::to_string(eager_ms).c_str() : "n/a (cap)",
-        lazy_ms,
+        eager_completed ? std::to_string(run.eager_ms).c_str() : "n/a (cap)",
+        run.lazy_ms,
         eager_completed ? (std::to_string(speedup) + "x").c_str() : "-",
         static_cast<unsigned long long>(materialized),
         static_cast<unsigned long long>(compounds_total),
         static_cast<unsigned long long>(blocked),
         static_cast<unsigned long long>(closures),
         static_cast<unsigned long long>(fallbacks),
-        identical ? "" : "  ANSWERS DIFFER (bug!)");
+        run.identical ? "" : "  ANSWERS DIFFER (bug!)");
     std::fflush(stdout);
 
     bench::JsonRecord record;
     record.Add("bench", "lazy_unsat")
         .Add("schema", cell.name)
         .Add("num_classes", static_cast<int>(schema.num_classes()))
-        .Add("threads", num_threads)
-        .Add("smoke", smoke)
+        .Add("threads", flags.threads)
         .Add("eager_completed", eager_completed)
-        .Add("eager_ms", eager_completed ? eager_ms : 0.0)
-        .Add("lazy_ms", lazy_ms);
+        .Add("eager_ms", eager_completed ? run.eager_ms : 0.0)
+        .Add("lazy_ms", run.lazy_ms);
     // No speedup field on beyond-cap cells: "eager could not run" must
     // not aggregate as a zero ratio.
     if (eager_completed) record.Add("speedup", speedup);
-    record.Add("answers_identical", identical)
+    record.Add("answers_identical", run.identical)
         .Add("lazy_conclusive", lazy_conclusive)
         .Add("verdict_unsat", verdict_unsat)
         .Add("compounds_materialized", materialized)
@@ -213,7 +135,7 @@ int Main(int argc, char** argv) {
                  "concluded UNSAT without fallback\n");
     return 1;
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
+  std::printf("\nwrote %s\n", flags.out_path.c_str());
   return 0;
 }
 

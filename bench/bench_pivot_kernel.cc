@@ -21,12 +21,10 @@
 // end-to-end SolvePsi calls, the quantity of interest being the
 // dense-vs-sparse and bigint-vs-scalar wall-time ratios.
 //
-// Usage: bench_pivot_kernel [--threads=N] [--smoke] [--out=FILE]
-//   --threads=N  restrict the sparse-kernel thread sweep to just N
-//   --smoke      tiny workload for CI
+// Usage: bench_pivot_kernel [--threads=N] [--out=FILE]
+//   --threads=N  restrict the sparse-kernel thread sweep to just N (N > 0)
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,7 +33,7 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "bench_json.h"
+#include "bench_harness.h"
 #include "expansion/expansion.h"
 #include "frontend/parser.h"
 #include "solver/solve.h"
@@ -43,12 +41,6 @@
 
 namespace car {
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Everything SolvePsi computes that the exactness contract promises is
 /// kernel- and thread-independent, pivot trajectory included.
@@ -63,35 +55,33 @@ bool SameSolution(const PsiSolution& a, const PsiSolution& b) {
          a.lp_solves == b.lp_solves && a.total_pivots == b.total_pivots;
 }
 
-/// Solves with the given kernel/threads `reps` times; returns the last
-/// solution and the best wall time (min over reps smooths scheduler
-/// noise in the tiny smoke cells).
-struct TimedSolve {
-  PsiSolution solution;
+/// One kernel configuration of a cell: the last solution it returned and
+/// its best wall time.
+struct KernelRun {
+  SimplexKernel kernel;
+  int threads;
+  PsiSolution solution = {};
   double best_ms = 0;
-  bool ok = false;
 };
-TimedSolve RunCell(const Expansion& expansion, SimplexKernel kernel,
-                   int threads, int reps) {
-  TimedSolve timed;
-  for (int rep = 0; rep < reps; ++rep) {
-    PsiSolverOptions options;
-    options.kernel = kernel;
-    options.num_threads = threads;
-    auto start = std::chrono::steady_clock::now();
-    auto solution = SolvePsi(expansion, options);
-    double ms = MillisSince(start);
-    if (!solution.ok()) {
-      std::fprintf(stderr, "SolvePsi(%s): %s\n",
-                   SimplexKernelToString(kernel),
-                   solution.status().ToString().c_str());
-      return timed;
-    }
-    if (rep == 0 || ms < timed.best_ms) timed.best_ms = ms;
-    timed.solution = std::move(solution.value());
+
+/// Solves once with the run's kernel and thread count and keeps the best
+/// time; false, after saying why, when the solve fails.
+bool SolveOnce(const Expansion& expansion, int rep, KernelRun* run) {
+  PsiSolverOptions options;
+  options.kernel = run->kernel;
+  options.num_threads = run->threads;
+  bench::Stopwatch watch;
+  auto solution = SolvePsi(expansion, options);
+  const double ms = watch.ElapsedMs();
+  if (!solution.ok()) {
+    std::fprintf(stderr, "SolvePsi(%s): %s\n",
+                 SimplexKernelToString(run->kernel),
+                 solution.status().ToString().c_str());
+    return false;
   }
-  timed.ok = true;
-  return timed;
+  if (rep == 0 || ms < run->best_ms) run->best_ms = ms;
+  run->solution = std::move(solution.value());
+  return true;
 }
 
 /// The first `num_classes` class blocks of dense_blowup.car: a dense
@@ -119,28 +109,19 @@ std::string TruncatedDenseBlowup(int num_classes) {
 }
 
 int Main(int argc, char** argv) {
-  int threads_override = 0;
-  bool smoke = false;
-  std::string out_path = "BENCH_pivot_kernel.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_override = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
-  }
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, 0, "BENCH_pivot_kernel.json");
   const std::vector<int> thread_sweep =
-      threads_override > 0 ? std::vector<int>{threads_override}
-                           : std::vector<int>{1, 2, 8};
-  const int reps = smoke ? 3 : 2;
+      flags.threads > 0 ? std::vector<int>{flags.threads}
+                        : std::vector<int>{1, 2, 8};
 
   // Chain schemas are the LP-heavy regime (Ψ_S rows grow with the chain
   // while each row touches a constant number of unknowns — high
   // sparsity); clustered schemas add block structure; the dense_blowup
   // prefix is the expansion-heavy extreme whose Ψ system is nearly
-  // empty (fill and promotions should both be ~0 there).
+  // empty (fill and promotions should both be ~0 there). The three
+  // smallest cells are the ones whose sparse <= dense-rational relation
+  // CI holds.
   struct Cell {
     std::string name;
     enum { kChain, kClustered, kDenseBlowup } family;
@@ -148,31 +129,22 @@ int Main(int argc, char** argv) {
     ClusteredParams clustered;
     int blowup_classes = 0;
   };
-  std::vector<Cell> cells;
-  if (smoke) {
-    cells.push_back({"chain-10x3", Cell::kChain, {10, 3}, {}, 0});
-    cells.push_back(
-        {"clustered-2x3", Cell::kClustered, {}, {2, 3, 2, false}, 0});
-    cells.push_back({"dense-blowup-8", Cell::kDenseBlowup, {}, {}, 8});
-  } else {
-    cells.push_back({"chain-16x3", Cell::kChain, {16, 3}, {}, 0});
-    cells.push_back({"chain-24x3", Cell::kChain, {24, 3}, {}, 0});
-    cells.push_back({"chain-32x4", Cell::kChain, {32, 4}, {}, 0});
-    cells.push_back(
-        {"clustered-4x4", Cell::kClustered, {}, {4, 4, 2, false}, 0});
-    cells.push_back(
-        {"clustered-6x4", Cell::kClustered, {}, {6, 4, 2, false}, 0});
-    cells.push_back({"dense-blowup-12", Cell::kDenseBlowup, {}, {}, 12});
-  }
+  const std::vector<Cell> cells = {
+      {"chain-10x3", Cell::kChain, {10, 3}, {}, 0},
+      {"clustered-2x3", Cell::kClustered, {}, {2, 3, 2, false}, 0},
+      {"dense-blowup-8", Cell::kDenseBlowup, {}, {}, 8},
+      {"chain-16x3", Cell::kChain, {16, 3}, {}, 0},
+      {"chain-24x3", Cell::kChain, {24, 3}, {}, 0},
+      {"chain-32x4", Cell::kChain, {32, 4}, {}, 0},
+      {"clustered-4x4", Cell::kClustered, {}, {4, 4, 2, false}, 0},
+      {"clustered-6x4", Cell::kClustered, {}, {6, 4, 2, false}, 0},
+      {"dense-blowup-12", Cell::kDenseBlowup, {}, {}, 12},
+  };
 
-  bench::JsonLinesFile out(out_path);
-  if (!out.ok()) {
-    std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
-    return 1;
-  }
+  bench::JsonLinesFile out(flags.out_path);
+  if (!out.ok()) return 1;
 
-  std::printf("EXP-N: pivot kernels on the Psi LP phase (%s)\n\n",
-              smoke ? "smoke" : "full");
+  std::printf("EXP-N: pivot kernels on the Psi LP phase\n\n");
   std::printf("| schema | dense-rational (ms) | dense-scalar (ms) | "
               "sparse-scalar (ms) | total | sparsity | scalar | fill | "
               "promotions |\n");
@@ -210,38 +182,39 @@ int Main(int argc, char** argv) {
     }
     Expansion expansion = std::move(built.value());
 
-    TimedSolve dense_rational =
-        RunCell(expansion, SimplexKernel::kDenseRational, 1, reps);
-    TimedSolve dense_scalar =
-        RunCell(expansion, SimplexKernel::kDenseScalar, 1, reps);
-    if (!dense_rational.ok || !dense_scalar.ok) return 1;
-
-    // The production kernel, swept over thread counts: certificate
-    // post-processing parallelizes, the answer must not change. Stats
-    // come from the first sweep entry; the reported time is the best
-    // across the sweep (the LP itself is sequential either way).
-    TimedSolve sparse;
-    bool identical =
-        SameSolution(dense_rational.solution, dense_scalar.solution);
-    for (size_t t = 0; t < thread_sweep.size(); ++t) {
-      TimedSolve run = RunCell(expansion, SimplexKernel::kSparseScalar,
-                               thread_sweep[t], reps);
-      if (!run.ok) return 1;
-      identical =
-          identical && SameSolution(dense_rational.solution, run.solution);
-      if (t == 0) {
-        sparse = std::move(run);
-      } else {
-        sparse.best_ms = std::min(sparse.best_ms, run.best_ms);
+    // Dense-rational, dense-scalar, then the production kernel swept over
+    // thread counts: certificate post-processing parallelizes, the answer
+    // must not change. The configurations take turns, rep by rep, so a
+    // slow stretch of the machine lands on all of them alike; each keeps
+    // its best time (the minimum smooths scheduler noise in the tiny
+    // cells). Stats come from the first sweep entry; the sparse time is
+    // the best across the sweep (the LP itself is sequential either way).
+    std::vector<KernelRun> runs = {{SimplexKernel::kDenseRational, 1},
+                                   {SimplexKernel::kDenseScalar, 1}};
+    for (int threads : thread_sweep) {
+      runs.push_back({SimplexKernel::kSparseScalar, threads});
+    }
+    for (int rep = 0; rep < bench::kTimedReps; ++rep) {
+      for (KernelRun& run : runs) {
+        if (!SolveOnce(expansion, rep, &run)) return 1;
       }
+    }
+    const KernelRun& dense_rational = runs[0];
+    const KernelRun& dense_scalar = runs[1];
+    double sparse_ms = runs[2].best_ms;
+    bool identical = true;
+    for (size_t i = 1; i < runs.size(); ++i) {
+      identical =
+          identical && SameSolution(dense_rational.solution, runs[i].solution);
+      if (i > 2) sparse_ms = std::min(sparse_ms, runs[i].best_ms);
     }
     all_identical = all_identical && identical;
 
-    const PsiSolution& stats = sparse.solution;
+    const PsiSolution& stats = runs[2].solution;
     double total_speedup =
-        sparse.best_ms > 0 ? dense_rational.best_ms / sparse.best_ms : 0.0;
+        sparse_ms > 0 ? dense_rational.best_ms / sparse_ms : 0.0;
     double sparsity_speedup =
-        sparse.best_ms > 0 ? dense_scalar.best_ms / sparse.best_ms : 0.0;
+        sparse_ms > 0 ? dense_scalar.best_ms / sparse_ms : 0.0;
     double scalar_speedup = dense_scalar.best_ms > 0
                                 ? dense_rational.best_ms / dense_scalar.best_ms
                                 : 0.0;
@@ -253,7 +226,7 @@ int Main(int argc, char** argv) {
         "| %s | %.2f | %.2f | %.2f | %.2fx | %.2fx | %.2fx | %.3f | %llu "
         "|%s\n",
         cell.name.c_str(), dense_rational.best_ms, dense_scalar.best_ms,
-        sparse.best_ms, total_speedup, sparsity_speedup, scalar_speedup,
+        sparse_ms, total_speedup, sparsity_speedup, scalar_speedup,
         fill, static_cast<unsigned long long>(stats.scalar_promotions),
         identical ? "" : "  ANSWERS DIFFER (bug!)");
     std::fflush(stdout);
@@ -262,10 +235,9 @@ int Main(int argc, char** argv) {
     record.Add("bench", "pivot_kernel")
         .Add("schema", cell.name)
         .Add("threads_swept", static_cast<int>(thread_sweep.size()))
-        .Add("smoke", smoke)
         .Add("dense_rational_ms", dense_rational.best_ms)
         .Add("dense_scalar_ms", dense_scalar.best_ms)
-        .Add("sparse_ms", sparse.best_ms)
+        .Add("sparse_ms", sparse_ms)
         .Add("speedup_total", total_speedup)
         .Add("speedup_sparsity", sparsity_speedup)
         .Add("speedup_scalar", scalar_speedup)
@@ -285,7 +257,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: kernels returned different solutions\n");
     return 1;
   }
-  std::printf("\nwrote %s\n", out_path.c_str());
+  std::printf("\nwrote %s\n", flags.out_path.c_str());
   return 0;
 }
 

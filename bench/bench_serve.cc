@@ -18,17 +18,12 @@
 // warm batches among them that probed (missed the memo) — plus the
 // cache hit rates. One JSON-lines record per configuration and scope, a
 // summary per configuration and a lazy-vs-eager comparison land in
-// BENCH_serve.json; the CI smoke gate requires identical answers, warm
-// p50 <= cold p50, and a lazy probe-batch p95 within kMaxProbeP95Ratio
-// of eager's.
+// BENCH_serve.json; bench/check_bench.py holds warm p50 <= cold p50 and
+// a lazy probe-batch p95 within kMaxProbeP95Ratio of eager's.
 //
-// Usage: bench_serve [--threads=N] [--smoke] [--out=FILE]
-//   --smoke  CI workload: 4 tenants, 8 rounds x 8 queries (256 queries)
+// Usage: bench_serve [--threads=N] [--out=FILE]
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,8 +31,8 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "base/strings.h"
-#include "bench_json.h"
+#include "bench_harness.h"
+#include "query_pool.h"
 #include "frontend/printer.h"
 #include "reasoner/query_text.h"
 #include "reasoner/reasoner.h"
@@ -66,69 +61,12 @@ struct Tenant {
   bool next_batch_cold = true;
 };
 
-/// Deterministic pool of textual queries drawn from the schema's own
-/// names, mixing every query kind the format supports.
-std::vector<std::string> MakeQueryPool(const Schema& schema, Rng* rng,
-                                       int count) {
-  std::vector<std::string> pool;
-  auto class_name = [&](int) {
-    return schema.ClassName(
-        static_cast<ClassId>(rng->NextBelow(schema.num_classes())));
-  };
-  while (static_cast<int>(pool.size()) < count) {
-    std::string line;
-    switch (rng->NextBelow(schema.num_relations() > 0 ? 6 : 4)) {
-      case 0:
-        line = StrCat("isa ", class_name(0), " ", class_name(1));
-        break;
-      case 1:
-        line = StrCat("disjoint ", class_name(0), " ", class_name(1));
-        break;
-      case 2:
-      case 3: {
-        if (schema.num_attributes() == 0) continue;
-        const std::string& attribute = schema.AttributeName(
-            static_cast<AttributeId>(rng->NextBelow(schema.num_attributes())));
-        std::string term = rng->NextBelow(4) == 0
-                               ? StrCat("inv:", attribute)
-                               : attribute;
-        if (rng->NextBelow(2) == 0) {
-          line = StrCat("min-card ", class_name(0), " ", term, " ",
-                        1 + rng->NextBelow(3));
-        } else {
-          uint64_t bound = 1 + rng->NextBelow(3);
-          line = StrCat("max-card ", class_name(0), " ", term, " ",
-                        rng->NextBelow(4) == 0 ? "inf"
-                                               : std::to_string(bound));
-        }
-        break;
-      }
-      default: {
-        RelationId relation = static_cast<RelationId>(
-            rng->NextBelow(schema.num_relations()));
-        const RelationDefinition* definition =
-            schema.relation_definition(relation);
-        const std::string& role = schema.RoleName(
-            definition->roles[rng->NextBelow(definition->roles.size())]);
-        const char* kind =
-            rng->NextBelow(2) == 0 ? "min-part" : "max-part";
-        line = StrCat(kind, " ", class_name(0), " ",
-                      schema.RelationName(relation), " ", role, " ",
-                      1 + rng->NextBelow(2));
-        break;
-      }
-    }
-    pool.push_back(std::move(line));
-  }
-  return pool;
-}
-
 Variant MakeVariant(Schema schema, uint64_t pool_seed, int pool_size) {
   Variant variant;
   variant.schema = std::make_unique<Schema>(std::move(schema));
   variant.text = PrintSchema(*variant.schema);
   Rng rng(pool_seed);
-  variant.query_pool = MakeQueryPool(*variant.schema, &rng, pool_size);
+  variant.query_pool = bench::MakeQueryPool(*variant.schema, &rng, pool_size);
   return variant;
 }
 
@@ -146,26 +84,14 @@ Result<bool> OfflineAnswer(Variant* variant, const std::string& line) {
   return answer;
 }
 
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  size_t index = static_cast<size_t>(p / 100.0 * values.size());
-  if (index >= values.size()) index = values.size() - 1;
-  return values[index];
-}
+using bench::Percentile;
 
 /// Ships one request over the full codec path and times the round trip.
 /// Any codec asymmetry shows up as a decode failure here.
 serve::Response RoundTrip(serve::Server* server,
                           const serve::Request& request,
                           double* latency_ms, bool* wire_ok) {
-  auto start = std::chrono::steady_clock::now();
+  bench::Stopwatch watch;
   auto decoded_request =
       serve::DecodeRequest(serve::EncodeRequest(request));
   if (!decoded_request.ok()) {
@@ -176,7 +102,7 @@ serve::Response RoundTrip(serve::Server* server,
   serve::Response response = server->Handle(decoded_request.value());
   auto decoded_response =
       serve::DecodeResponse(serve::EncodeResponse(response));
-  *latency_ms = MillisSince(start);
+  *latency_ms = watch.ElapsedMs();
   if (!decoded_response.ok() || decoded_response.value() != response) {
     *wire_ok = false;
     return response;
@@ -184,7 +110,7 @@ serve::Response RoundTrip(serve::Server* server,
   return decoded_response.value();
 }
 
-/// The CI gate on the lazy serving default: its probe-batch p95 may be at
+/// The bound on the lazy serving default: its probe-batch p95 may be at
 /// most this many times the eager configuration's.
 constexpr double kMaxProbeP95Ratio = 3.0;
 
@@ -326,59 +252,34 @@ bool ReplayTrace(std::vector<Tenant>* tenants,
 }
 
 int Main(int argc, char** argv) {
-  int num_threads = 1;
-  bool smoke = false;
-  std::string out_path = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      num_threads = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
-  }
-
-  const int rounds = smoke ? 8 : 16;
-  const int batch_size = smoke ? 8 : 16;
-  const int pool_size = smoke ? 24 : 48;
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, 1, "BENCH_serve.json");
+  const int rounds = 16;
+  const int batch_size = 16;
+  const int pool_size = 48;
 
   // Four tenants across three schema families; the B variant of each is
-  // a structurally different schema, so a mutation really rebuilds.
-  std::vector<Tenant> tenants;
-  {
-    Rng rng(17);
-    Tenant chain;
-    chain.name = "t-chain";
-    chain.variants[0] = MakeVariant(
-        GenerateChainSchema({smoke ? 6 : 12, 2}), 101, pool_size);
-    chain.variants[1] = MakeVariant(
-        GenerateChainSchema({smoke ? 7 : 14, 3}), 102, pool_size);
-    tenants.push_back(std::move(chain));
-
-    Tenant clustered;
-    clustered.name = "t-clustered";
-    clustered.variants[0] = MakeVariant(
-        GenerateClusteredSchema(&rng, {2, 3, 2, false}), 201, pool_size);
-    clustered.variants[1] = MakeVariant(
-        GenerateClusteredSchema(&rng, {3, 3, 2, false}), 202, pool_size);
-    tenants.push_back(std::move(clustered));
-
-    Tenant hierarchy;
-    hierarchy.name = "t-hierarchy";
-    hierarchy.variants[0] = MakeVariant(
-        GenerateHierarchy(&rng, {smoke ? 9 : 15, 1, 3}), 301, pool_size);
-    hierarchy.variants[1] = MakeVariant(
-        GenerateHierarchy(&rng, {smoke ? 10 : 18, 2, 3}), 302, pool_size);
-    tenants.push_back(std::move(hierarchy));
-
-    Tenant chain2;
-    chain2.name = "t-chain-wide";
-    chain2.variants[0] = MakeVariant(
-        GenerateChainSchema({smoke ? 5 : 10, 4}), 401, pool_size);
-    chain2.variants[1] = MakeVariant(
-        GenerateChainSchema({smoke ? 6 : 11, 4}), 402, pool_size);
-    tenants.push_back(std::move(chain2));
+  // a structurally different schema, so a mutation really rebuilds. The
+  // schemas are generated in this order from one Rng.
+  Rng rng(17);
+  Schema schemas[] = {GenerateChainSchema({12, 2}),
+                      GenerateChainSchema({14, 3}),
+                      GenerateClusteredSchema(&rng, {2, 3, 2, false}),
+                      GenerateClusteredSchema(&rng, {3, 3, 2, false}),
+                      GenerateHierarchy(&rng, {15, 1, 3}),
+                      GenerateHierarchy(&rng, {18, 2, 3}),
+                      GenerateChainSchema({10, 4}),
+                      GenerateChainSchema({11, 4})};
+  std::vector<Tenant> tenants(4);
+  const char* names[] = {"t-chain", "t-clustered", "t-hierarchy",
+                         "t-chain-wide"};
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    tenants[t].name = names[t];
+    for (int v = 0; v < 2; ++v) {
+      tenants[t].variants[v] =
+          MakeVariant(std::move(schemas[2 * t + v]), 100 * (t + 1) + v + 1,
+                      pool_size);
+    }
   }
 
   // The serving default first, then the eager configuration, each on a
@@ -391,7 +292,7 @@ int Main(int argc, char** argv) {
   Config configs[] = {{"lazy", true, {}}, {"eager", false, {}}};
   for (Config& config : configs) {
     serve::ServerOptions server_options;
-    server_options.num_threads = num_threads;
+    server_options.num_threads = flags.threads;
     server_options.lazy_expansion = config.lazy_expansion;
     if (!ReplayTrace(&tenants, server_options, rounds, batch_size,
                      &config.replay)) {
@@ -400,21 +301,17 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::printf("EXP-R: car_serve traffic replay (threads=%d%s)\n\n",
-              num_threads, smoke ? ", smoke" : "");
+  std::printf("EXP-R: car_serve traffic replay (threads=%d)\n\n",
+              flags.threads);
   std::printf("| config | scope | count | p50 (ms) | p95 (ms) | p99 (ms) |\n");
   std::printf("|---|---|---|---|---|---|\n");
-  bench::JsonLinesFile out(out_path);
-  if (!out.ok()) {
-    std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
-    return 1;
-  }
+  bench::JsonLinesFile out(flags.out_path);
+  if (!out.ok()) return 1;
   struct Scope {
     const char* name;
     const std::vector<double>* values;
   };
   bool ok = true;
-  std::string summary_lines;
   for (const Config& config : configs) {
     const Replay& replay = config.replay;
     for (const Scope& scope :
@@ -431,8 +328,7 @@ int Main(int argc, char** argv) {
       record.Add("bench", "serve")
           .Add("config", config.name)
           .Add("scope", scope.name)
-          .Add("threads", num_threads)
-          .Add("smoke", smoke)
+          .Add("threads", flags.threads)
           .Add("count", static_cast<uint64_t>(scope.values->size()))
           .Add("p50_ms", Percentile(*scope.values, 50))
           .Add("p95_ms", Percentile(*scope.values, 95))
@@ -455,8 +351,7 @@ int Main(int argc, char** argv) {
     summary.Add("bench", "serve")
         .Add("config", config.name)
         .Add("scope", "summary")
-        .Add("threads", num_threads)
-        .Add("smoke", smoke)
+        .Add("threads", flags.threads)
         .Add("tenants", static_cast<uint64_t>(tenants.size()))
         .Add("queries", replay.total_queries)
         .Add("answers_identical", answers_identical)
@@ -476,14 +371,6 @@ int Main(int argc, char** argv) {
         .Add("resident_bytes", stats.resident_bytes);
     out.Write(summary);
 
-    summary_lines += StrCat(
-        config.name, ": ", replay.total_queries, " queries over ",
-        tenants.size(), " tenants; warm p50 ", warm_p50, " ms vs cold p50 ",
-        cold_p50, " ms; probe p95 ", Percentile(replay.query_probe_ms, 95),
-        " ms; ", replay.probes, " probes, ", replay.warm_starts,
-        " warm starts; lookup hit rate ", hit_rate, "; ",
-        replay.wrong_answers, " wrong answer(s)\n");
-
     if (!answers_identical) {
       std::fprintf(stderr, "FAIL (%s): served answers differ from offline "
                            "(or wire round trip broke)\n", config.name);
@@ -494,15 +381,8 @@ int Main(int argc, char** argv) {
                    config.name);
       ok = false;
     }
-    if (!replay.query_warm_ms.empty() && !replay.query_cold_ms.empty() &&
-        warm_p50 > cold_p50) {
-      std::fprintf(stderr, "FAIL (%s): warm p50 above cold p50\n",
-                   config.name);
-      ok = false;
-    }
   }
 
-  std::printf("\n%s", summary_lines.c_str());
 
   // The lazy serving default against the eager configuration on the same
   // trace: the probing batches are where the two engines differ.
@@ -515,8 +395,7 @@ int Main(int argc, char** argv) {
   bench::JsonRecord comparison;
   comparison.Add("bench", "serve")
       .Add("scope", "lazy_vs_eager")
-      .Add("threads", num_threads)
-      .Add("smoke", smoke)
+      .Add("threads", flags.threads)
       .Add("lazy_probe_p95_ms", lazy_probe_p95)
       .Add("eager_probe_p95_ms", eager_probe_p95)
       .Add("probe_p95_ratio", ratio)
@@ -529,7 +408,7 @@ int Main(int argc, char** argv) {
   std::printf("\nlazy vs eager probe-batch p95: %.2f ms vs %.2f ms (%.2fx; "
               "gate %.1fx)\n", lazy_probe_p95, eager_probe_p95, ratio,
               kMaxProbeP95Ratio);
-  std::printf("wrote %s\n", out_path.c_str());
+  std::printf("wrote %s\n", flags.out_path.c_str());
   return ok ? 0 : 1;
 }
 

@@ -450,6 +450,81 @@ void ParkOrEvictArtificials(SparseTableau* tableau) {
   }
 }
 
+/// The cold sparse two-phase solve behind Maximize and SolveForSnapshot:
+/// builds and charges the tableau, runs phase 1 (an infeasible system
+/// returns there, with its Farkas certificate when asked), clears the
+/// zero-valued artificials with `clear_artificials`, then runs phase 2
+/// and extracts the solution. The final tableau is left in `*tableau`.
+Result<LpResult> SolveSparseCold(const SimplexSolver::Options& options,
+                                 const LinearSystem& system,
+                                 const LinearExpr& objective,
+                                 void (*clear_artificials)(SparseTableau*),
+                                 SparseTableau* tableau) {
+  CAR_RETURN_IF_ERROR(GovCheck(options.exec, "simplex"));
+  const uint64_t promotions_before = Scalar::promotions_this_thread();
+  *tableau = BuildTableau(system);
+  // The tableau is the dominant allocation of a solve; charge its
+  // nonzero storage (the whole point of the sparse kernel is that this
+  // is far below rows * cols).
+  CAR_RETURN_IF_ERROR(
+      GovChargeBytes(options.exec, NonzeroBytes(*tableau), "simplex"));
+  const int n = system.num_variables();
+  LpResult result;
+  auto finish = [&]() {
+    result.scalar_promotions =
+        Scalar::promotions_this_thread() - promotions_before;
+    result.tableau_nonzeros = NonzeroCells(*tableau);
+    result.tableau_cells = DenseExtent(*tableau);
+    if (options.exec != nullptr) {
+      options.exec->CountScalarPromotions(result.scalar_promotions);
+      options.exec->RecordTableauFill(result.tableau_nonzeros,
+                                      result.tableau_cells);
+    }
+  };
+
+  // Phase 1: maximize minus the sum of artificial variables.
+  bool has_artificial = false;
+  for (bool flag : tableau->is_artificial) has_artificial |= flag;
+  if (has_artificial) {
+    std::vector<Scalar> phase1_cost(tableau->num_cols);
+    for (int j = 0; j < tableau->num_cols; ++j) {
+      if (tableau->is_artificial[j]) phase1_cost[j] = Scalar(-1);
+    }
+    CAR_ASSIGN_OR_RETURN(
+        LpOutcome outcome,
+        RunSimplex(tableau, phase1_cost, /*allow_artificial=*/true,
+                   options.max_pivots, options.exec, &result.pivots));
+    CAR_CHECK(outcome == LpOutcome::kOptimal)
+        << "phase 1 cannot be unbounded";
+    if (!ObjectiveValue(*tableau, phase1_cost).is_zero()) {
+      result.outcome = LpOutcome::kInfeasible;
+      if (options.extract_certificate) {
+        result.infeasibility_certificate = ExtractFarkasCertificate(*tableau);
+      }
+      finish();
+      return result;
+    }
+    clear_artificials(tableau);
+  }
+
+  // Phase 2: maximize the real objective.
+  std::vector<Scalar> phase2_cost(tableau->num_cols);
+  for (const auto& [variable, coefficient] : objective.terms()) {
+    CAR_CHECK_GE(variable, 0);
+    CAR_CHECK_LT(variable, n);
+    phase2_cost[variable] = Scalar(coefficient);
+  }
+  CAR_ASSIGN_OR_RETURN(
+      LpOutcome outcome,
+      RunSimplex(tableau, phase2_cost, /*allow_artificial=*/false,
+                 options.max_pivots, options.exec, &result.pivots));
+  result.outcome = outcome;
+  result.values = ExtractSolution(*tableau, n);
+  result.objective = ObjectiveValue(*tableau, phase2_cost).ToRational();
+  finish();
+  return result;
+}
+
 // ===========================================================================
 // Dense reference kernel, templated on the cell type. Retained for the
 // differential tests and the dense-vs-sparse / bigint-vs-scalar bench
@@ -794,69 +869,10 @@ Result<LpResult> SimplexSolver::Maximize(const LinearSystem& system,
       break;
   }
 
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  SparseTableau tableau = BuildTableau(system);
-  // The tableau is the dominant allocation of a solve; charge its
-  // nonzero storage (the whole point of the sparse kernel is that this
-  // is far below rows * cols).
-  CAR_RETURN_IF_ERROR(
-      GovChargeBytes(options_.exec, NonzeroBytes(tableau), "simplex"));
-  const int n = system.num_variables();
-  LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-
-  // Phase 1: maximize minus the sum of artificial variables.
-  bool has_artificial = false;
-  for (bool flag : tableau.is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    CAR_ASSIGN_OR_RETURN(
-        LpOutcome outcome,
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots));
-    CAR_CHECK(outcome == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      if (options_.extract_certificate) {
-        result.infeasibility_certificate = ExtractFarkasCertificate(tableau);
-      }
-      finish();
-      return result;
-    }
-    RemoveArtificialsFromBasis(&tableau);
-  }
-
-  // Phase 2: maximize the real objective.
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = Scalar(coefficient);
-  }
-  CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots));
-  result.outcome = outcome;
-  result.values = ExtractSolution(tableau, n);
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  finish();
-  return result;
+  // Redundant rows (all zero over real columns after phase 1) are dropped.
+  SparseTableau tableau;
+  return SolveSparseCold(options_, system, objective,
+                         RemoveArtificialsFromBasis, &tableau);
 }
 
 Result<LpResult> SimplexSolver::CheckFeasible(
@@ -868,67 +884,16 @@ Result<LpResult> SimplexSolver::SolveForSnapshot(
     const LinearSystem& system, const LinearExpr& objective,
     SimplexSnapshot* snapshot) const {
   CAR_CHECK(snapshot != nullptr);
-  CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  SparseTableau tableau = BuildTableau(system);
-  CAR_RETURN_IF_ERROR(
-      GovChargeBytes(options_.exec, NonzeroBytes(tableau), "simplex"));
+  // Unlike Maximize, keep redundant rows: a later delta may hand them
+  // nonzero columns, and the snapshot's row indices must stay aligned
+  // with the system's constraint indices.
+  SparseTableau tableau;
+  CAR_ASSIGN_OR_RETURN(LpResult result,
+                       SolveSparseCold(options_, system, objective,
+                                       ParkOrEvictArtificials, &tableau));
+  if (result.outcome == LpOutcome::kInfeasible) return result;
+
   const int n = system.num_variables();
-  LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-
-  bool has_artificial = false;
-  for (bool flag : tableau.is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    CAR_ASSIGN_OR_RETURN(
-        LpOutcome outcome,
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots));
-    CAR_CHECK(outcome == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      if (options_.extract_certificate) {
-        result.infeasibility_certificate = ExtractFarkasCertificate(tableau);
-      }
-      finish();
-      return result;
-    }
-    // Unlike Maximize, keep redundant rows: a later delta may hand them
-    // nonzero columns, and the snapshot's row indices must stay aligned
-    // with the system's constraint indices.
-    ParkOrEvictArtificials(&tableau);
-  }
-
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = Scalar(coefficient);
-  }
-  CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots));
-  result.outcome = outcome;
-  result.values = ExtractSolution(tableau, n);
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  finish();
-
   snapshot->col_of_var.resize(n);
   snapshot->var_of_col.assign(tableau.num_cols, -1);
   for (int v = 0; v < n; ++v) {
