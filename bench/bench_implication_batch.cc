@@ -7,7 +7,8 @@
 // Ψ solve per query) and by the incremental session (one base solve,
 // then per-probe expansion deltas, warm-started LP re-solves, and the
 // canonical-form memo) — and the answers are required to be identical.
-// Wall-clock times, speedups and the session statistics land as one
+// Wall-clock times, speedups, the session statistics and each engine's
+// simplex pivots (the cold path and the resumed path) land as one
 // JSON-lines record per cell in BENCH_implication_batch.json.
 //
 // This is a plain main (not google-benchmark): each cell is one timed
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "base/exec_context.h"
 #include "base/rng.h"
 #include "bench_harness.h"
 #include "reasoner/incremental.h"
@@ -86,25 +88,39 @@ int Main(int argc, char** argv) {
                                    /*distinct=*/true);
 
       // The engines take turns answering the batch from fresh state and
-      // each keeps its best time; the answers and stats never change.
+      // each keeps its best time; the answers, stats and pivot counts
+      // never change. Each run gets its own unlimited governor, which
+      // only counts: its pivots are the cold solves' (from scratch) or
+      // the base solve's plus every resumed probe's (incremental).
       ReasonerOptions options;
       options.num_threads = flags.threads;
       Result<std::vector<bool>> scratch_answers = std::vector<bool>();
       Result<std::vector<bool>> incremental_answers = std::vector<bool>();
       IncrementalStats stats;
+      uint64_t scratch_pivots = 0;
+      uint64_t incremental_pivots = 0;
       const auto [scratch_ms, incremental_ms] = bench::BestMsInTurn(
           [&] {
-            Reasoner scratch(&schema, options);
+            ExecContext exec;
+            ReasonerOptions governed = options;
+            governed.exec = &exec;
+            Reasoner scratch(&schema, governed);
             bench::Stopwatch watch;
             scratch_answers = scratch.RunImplicationBatch(queries);
-            return watch.ElapsedMs();
+            const double ms = watch.ElapsedMs();
+            scratch_pivots = exec.progress().pivots_executed;
+            return ms;
           },
           [&] {
-            IncrementalSession session(&schema, options);
+            ExecContext exec;
+            ReasonerOptions governed = options;
+            governed.exec = &exec;
+            IncrementalSession session(&schema, governed);
             bench::Stopwatch watch;
             incremental_answers = session.RunImplicationBatch(queries);
             const double ms = watch.ElapsedMs();
             stats = session.stats();
+            incremental_pivots = exec.progress().pivots_executed;
             return ms;
           });
       if (!scratch_answers.ok()) {
@@ -141,6 +157,8 @@ int Main(int argc, char** argv) {
           .Add("incremental_ms", incremental_ms)
           .Add("speedup", speedup)
           .Add("answers_identical", identical)
+          .Add("from_scratch_pivots", scratch_pivots)
+          .Add("incremental_pivots", incremental_pivots)
           .Add("probes", stats.probes)
           .Add("warm_starts", stats.warm_starts)
           .Add("fallbacks", stats.fallbacks)

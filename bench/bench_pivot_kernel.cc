@@ -1,25 +1,26 @@
-// EXP-N driver: sparse pivot kernel + word-sized exact scalar fast path.
+// EXP-N driver: the sparse integer-row pivot kernel against the dense
+// rational oracle.
 //
 // Workload: the Ψ LP phase (SolvePsi) on chain schemas, clustered
 // schemas, and truncated prefixes of examples/schemas/dense_blowup.car,
-// solved three times per cell — once per tableau kernel:
+// solved once per tableau kernel:
 //
 //   dense-rational  dense rows of BigInt-backed Rationals (the
-//                   pre-optimization kernel, the baseline),
-//   dense-scalar    dense rows of word-sized Scalars (isolates the
-//                   scalar-layer win),
-//   sparse-scalar   compressed sparse rows of Scalars (production).
+//                   pre-optimization kernel, the baseline and oracle),
+//   sparse          compressed sparse integer rows, int64 numerators over
+//                   one denominator per row (production).
 //
-// All kernels are exact and follow the identical Bland pivot sequence,
+// Both kernels are exact and follow the identical Bland pivot sequence,
 // so every cell asserts bit-identical solutions (support, per-class
 // verdicts, integer certificate, pivot counts) across kernels AND across
 // the sparse kernel at 1/2/8 threads; the run fails if any differ. Times,
-// speedup factors, promotion counts and tableau fill land as one
-// JSON-lines record per cell in BENCH_pivot_kernel.json.
+// the speedup factor, promotion counts (rows moved to BigInt form) and
+// tableau fill land as one JSON-lines record per cell in
+// BENCH_pivot_kernel.json.
 //
 // This is a plain main (not google-benchmark): each cell is a handful of
 // end-to-end SolvePsi calls, the quantity of interest being the
-// dense-vs-sparse and bigint-vs-scalar wall-time ratios.
+// dense-vs-sparse wall-time ratio.
 //
 // Usage: bench_pivot_kernel [--threads=N] [--out=FILE]
 //   --threads=N  restrict the sparse-kernel thread sweep to just N (N > 0)
@@ -145,10 +146,9 @@ int Main(int argc, char** argv) {
   if (!out.ok()) return 1;
 
   std::printf("EXP-N: pivot kernels on the Psi LP phase\n\n");
-  std::printf("| schema | dense-rational (ms) | dense-scalar (ms) | "
-              "sparse-scalar (ms) | total | sparsity | scalar | fill | "
-              "promotions |\n");
-  std::printf("|---|---|---|---|---|---|---|---|---|\n");
+  std::printf("| schema | dense-rational (ms) | sparse (ms) | speedup | "
+              "fill | promotions |\n");
+  std::printf("|---|---|---|---|---|---|\n");
 
   bool all_identical = true;
   for (const Cell& cell : cells) {
@@ -182,17 +182,16 @@ int Main(int argc, char** argv) {
     }
     Expansion expansion = std::move(built.value());
 
-    // Dense-rational, dense-scalar, then the production kernel swept over
-    // thread counts: certificate post-processing parallelizes, the answer
+    // Dense-rational, then the production kernel swept over thread
+    // counts: certificate post-processing parallelizes, the answer
     // must not change. The configurations take turns, rep by rep, so a
     // slow stretch of the machine lands on all of them alike; each keeps
     // its best time (the minimum smooths scheduler noise in the tiny
     // cells). Stats come from the first sweep entry; the sparse time is
     // the best across the sweep (the LP itself is sequential either way).
-    std::vector<KernelRun> runs = {{SimplexKernel::kDenseRational, 1},
-                                   {SimplexKernel::kDenseScalar, 1}};
+    std::vector<KernelRun> runs = {{SimplexKernel::kDenseRational, 1}};
     for (int threads : thread_sweep) {
-      runs.push_back({SimplexKernel::kSparseScalar, threads});
+      runs.push_back({SimplexKernel::kSparse, threads});
     }
     for (int rep = 0; rep < bench::kTimedReps; ++rep) {
       for (KernelRun& run : runs) {
@@ -200,34 +199,26 @@ int Main(int argc, char** argv) {
       }
     }
     const KernelRun& dense_rational = runs[0];
-    const KernelRun& dense_scalar = runs[1];
-    double sparse_ms = runs[2].best_ms;
+    double sparse_ms = runs[1].best_ms;
     bool identical = true;
     for (size_t i = 1; i < runs.size(); ++i) {
       identical =
           identical && SameSolution(dense_rational.solution, runs[i].solution);
-      if (i > 2) sparse_ms = std::min(sparse_ms, runs[i].best_ms);
+      sparse_ms = std::min(sparse_ms, runs[i].best_ms);
     }
     all_identical = all_identical && identical;
 
-    const PsiSolution& stats = runs[2].solution;
+    const PsiSolution& stats = runs[1].solution;
     double total_speedup =
         sparse_ms > 0 ? dense_rational.best_ms / sparse_ms : 0.0;
-    double sparsity_speedup =
-        sparse_ms > 0 ? dense_scalar.best_ms / sparse_ms : 0.0;
-    double scalar_speedup = dense_scalar.best_ms > 0
-                                ? dense_rational.best_ms / dense_scalar.best_ms
-                                : 0.0;
     double fill = stats.peak_tableau_cells > 0
                       ? static_cast<double>(stats.peak_tableau_nonzeros) /
                             static_cast<double>(stats.peak_tableau_cells)
                       : 0.0;
     std::printf(
-        "| %s | %.2f | %.2f | %.2f | %.2fx | %.2fx | %.2fx | %.3f | %llu "
-        "|%s\n",
-        cell.name.c_str(), dense_rational.best_ms, dense_scalar.best_ms,
-        sparse_ms, total_speedup, sparsity_speedup, scalar_speedup,
-        fill, static_cast<unsigned long long>(stats.scalar_promotions),
+        "| %s | %.2f | %.2f | %.2fx | %.3f | %llu |%s\n", cell.name.c_str(),
+        dense_rational.best_ms, sparse_ms, total_speedup, fill,
+        static_cast<unsigned long long>(stats.scalar_promotions),
         identical ? "" : "  ANSWERS DIFFER (bug!)");
     std::fflush(stdout);
 
@@ -236,11 +227,8 @@ int Main(int argc, char** argv) {
         .Add("schema", cell.name)
         .Add("threads_swept", static_cast<int>(thread_sweep.size()))
         .Add("dense_rational_ms", dense_rational.best_ms)
-        .Add("dense_scalar_ms", dense_scalar.best_ms)
         .Add("sparse_ms", sparse_ms)
         .Add("speedup_total", total_speedup)
-        .Add("speedup_sparsity", sparsity_speedup)
-        .Add("speedup_scalar", scalar_speedup)
         .Add("answers_identical", identical)
         .Add("lp_solves", static_cast<uint64_t>(stats.lp_solves))
         .Add("pivots", static_cast<uint64_t>(stats.total_pivots))

@@ -62,7 +62,7 @@ struct ProgressSnapshot {
   uint64_t cluster_local_solves = 0;
   /// Warm-started (resumed) simplex solves.
   uint64_t warm_starts = 0;
-  /// Scalar fast-path overflows promoted to BigInt form (simplex cells).
+  /// Simplex tableau rows moved to BigInt form on int64 overflow.
   uint64_t scalar_promotions = 0;
   /// Largest tableau seen, as nonzero cells and as dense extent
   /// (rows * columns); their ratio is the peak fill of the run.

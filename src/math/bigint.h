@@ -127,8 +127,8 @@ class LimbVector {
 /// The decision procedure of libcar (Section 3.2 of the paper) must be
 /// exact: the satisfiability answer is derived from the feasibility of a
 /// system of linear disequations, and a single rounding error could flip
-/// it. BigInt is the integer layer under Rational (see rational.h), which
-/// in turn is the scalar type of the simplex solver.
+/// it. BigInt is the integer layer under Rational (see rational.h) and
+/// under simplex tableau rows that overflow int64 (see sparse_row.h).
 ///
 /// Representation: sign/magnitude with base-2^32 limbs stored little-endian.
 /// Zero is represented by an empty limb vector and sign 0. All operations

@@ -11,8 +11,8 @@ namespace car {
 /// An exact rational number: BigInt numerator over positive BigInt
 /// denominator, always in lowest terms.
 ///
-/// Rational is the scalar type of the simplex solver (simplex.h); exactness
-/// here is what makes the satisfiability decision procedure sound.
+/// Rational is the value type of the simplex solver's results (simplex.h);
+/// exactness here is what makes the decision procedure sound.
 class Rational {
  public:
   /// Constructs zero.

@@ -1,6 +1,8 @@
 #include "math/simplex.h"
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "base/check.h"
@@ -10,26 +12,10 @@ namespace car {
 
 namespace {
 
-// --- Cell helpers shared by the sparse production kernel and the dense
-// reference kernels. A "cell" is Scalar (production, dense-scalar) or
-// Rational (dense-rational); both are exact, so every kernel follows the
-// identical Bland pivot sequence and returns bit-identical results.
-
-template <typename Cell>
-Cell CellFromRational(const Rational& value);
-template <>
-inline Rational CellFromRational<Rational>(const Rational& value) {
-  return value;
-}
-template <>
-inline Scalar CellFromRational<Scalar>(const Rational& value) {
-  return Scalar(value);
-}
-
-inline Rational CellToRational(const Rational& value) { return value; }
-inline Rational CellToRational(const Scalar& value) {
-  return value.ToRational();
-}
+// The sparse production kernel runs on integer rows (math/sparse_row.h)
+// and the dense reference kernel on Rationals; both are exact, so both
+// follow the identical Bland pivot sequence and return bit-identical
+// results.
 
 /// The entry rule shared by every kernel and by ResumeMaximize's appended
 /// rows: a row enters negated when its right-hand side is negative, and
@@ -39,10 +25,9 @@ inline Rational CellToRational(const Scalar& value) {
 /// on a feasible all-slack basis and skips phase 1. The flip is recorded
 /// per row (SparseTableau::flipped), which is all that Farkas extraction
 /// and row extensions need to map back to the original row.
-template <typename Value>
-bool EntersNegated(const Value& rhs, Relation relation) {
-  return rhs.is_negative() ||
-         (rhs.is_zero() && relation == Relation::kGreaterEqual);
+bool EntersNegated(int rhs_sign, Relation relation) {
+  return rhs_sign < 0 ||
+         (rhs_sign == 0 && relation == Relation::kGreaterEqual);
 }
 
 /// How a constraint enters a cold tableau: whether it is negated, and the
@@ -53,7 +38,7 @@ struct RowEntry {
 };
 
 RowEntry EntryOf(const LinearConstraint& constraint) {
-  RowEntry entry{EntersNegated(constraint.rhs, constraint.relation),
+  RowEntry entry{EntersNegated(constraint.rhs.sign(), constraint.relation),
                  constraint.relation};
   if (entry.flip && entry.relation != Relation::kEqual) {
     entry.relation = entry.relation == Relation::kLessEqual
@@ -78,18 +63,17 @@ void CountAuxiliaryColumns(const std::vector<LinearConstraint>& constraints,
 }
 
 // ===========================================================================
-// Sparse production kernel: compressed sparse rows of Scalar cells.
+// Sparse production kernel: compressed sparse integer rows.
 // ===========================================================================
 
 /// The production simplex tableau. Column layout: structural variables
-/// first, then slack/surplus variables, then artificial variables; the
-/// right-hand side is stored separately per row. Rows are compressed
-/// sparse (math/sparse_row.h): Ψ_S rows touch only one cluster or one
-/// Natt/Nrel constraint each, so pivots, pricing, and snapshot clones
-/// walk nonzeros instead of columns.
+/// first, then slack/surplus variables, then artificial variables; each
+/// row carries its right-hand side over its own denominator. Rows are
+/// compressed sparse (math/sparse_row.h): Ψ_S rows touch only one cluster
+/// or one Natt/Nrel constraint each, so pivots, pricing, and snapshot
+/// clones walk nonzeros instead of columns.
 struct SparseTableau {
   std::vector<SparseRow> rows;
-  std::vector<Scalar> rhs;
   std::vector<int> basis;           // Basic variable of each row.
   std::vector<bool> is_artificial;  // Indexed by column.
   // Warm-start bookkeeping (see SimplexSnapshot): the identity column a
@@ -100,34 +84,60 @@ struct SparseTableau {
   // columns (see SimplexSnapshot::zero_checked).
   std::vector<int> zero_checked;
   int num_cols = 0;
-  // Reusable merge buffer for Pivot (SubtractScaled swaps row storage
-  // through it, so the whole elimination sweep allocates at most once).
-  std::vector<SparseRow::Entry> scratch;
+  // Reusable merge buffer for Pivot (Eliminate swaps row storage through
+  // it, so the whole elimination sweep allocates at most once).
+  SparseRow::Scratch scratch;
+  // The rows holding a nonzero in one column, each with the cell's
+  // position in its row: gathered once per pivot (by CollectColumn) for
+  // the ratio test and the elimination alike.
+  std::vector<std::pair<size_t, size_t>> column;
 
-  /// Pivots on (pivot_row, pivot_col): divides the pivot row by the pivot
-  /// element and eliminates the column from every row that has a nonzero
-  /// there — rows with a structural zero at the pivot column are not even
-  /// read past one binary search.
-  void Pivot(size_t pivot_row, int pivot_col) {
+  void CollectColumn(int col) {
+    column.clear();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const int k = rows[r].IndexOf(col);
+      if (k >= 0) column.emplace_back(r, static_cast<size_t>(k));
+    }
+  }
+
+  /// Pivots on (pivot_row, pivot_col), with `column` holding pivot_col's
+  /// rows: divides the pivot row by the pivot element and eliminates the
+  /// column from the other rows gathered there; rows with a structural
+  /// zero at the pivot column are never touched. Returns the pivot
+  /// cell's position in its row.
+  size_t Pivot(size_t pivot_row, int pivot_col) {
     SparseRow& prow = rows[pivot_row];
-    const Scalar* pivot_cell = prow.Find(pivot_col);
-    CAR_CHECK(pivot_cell != nullptr) << "pivot on a zero cell";
-    Scalar pivot_value = *pivot_cell;
+    const int pivot_k = prow.IndexOf(pivot_col);
+    CAR_CHECK(pivot_k >= 0) << "pivot on a zero cell";
     // Normalizing the pivot row preserves its zero pattern, so its
     // zero_checked prefix stays valid; eliminated rows change and lose
     // theirs.
-    prow.DivideAll(pivot_value);
-    rhs[pivot_row] /= pivot_value;
-    for (size_t r = 0; r < rows.size(); ++r) {
+    prow.Normalize(static_cast<size_t>(pivot_k));
+    for (const auto& [r, k] : column) {
       if (r == pivot_row) continue;
-      const Scalar* cell = rows[r].Find(pivot_col);
-      if (cell == nullptr) continue;
-      Scalar factor = *cell;
-      rows[r].SubtractScaled(factor, prow, &scratch);
-      rhs[r] -= factor * rhs[pivot_row];
+      rows[r].Eliminate(k, prow, static_cast<size_t>(pivot_k), &scratch);
       zero_checked[r] = 0;
     }
     basis[pivot_row] = pivot_col;
+    return static_cast<size_t>(pivot_k);
+  }
+
+  /// CollectColumn, then Pivot.
+  void PivotOnColumn(size_t pivot_row, int pivot_col) {
+    CollectColumn(pivot_col);
+    Pivot(pivot_row, pivot_col);
+  }
+
+  /// Eliminates the basic columns from `row`: every basic column carries
+  /// an identity pattern, so eliminating row i touches no other row's
+  /// basic cell and one pass in row order leaves all of them zero.
+  void EliminateBasics(SparseRow* row, SparseRow::Scratch* buffer) const {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int k = row->IndexOf(basis[i]);
+      if (k < 0) continue;
+      row->Eliminate(static_cast<size_t>(k), rows[i],
+                     static_cast<size_t>(rows[i].IndexOf(basis[i])), buffer);
+    }
   }
 };
 
@@ -142,77 +152,69 @@ uint64_t DenseExtent(const SparseTableau& tableau) {
 }
 
 /// Resident-byte estimate of the sparse tableau for the governor: entry
-/// storage plus the right-hand sides (Scalar cells own heap storage
-/// beyond sizeof only after promotion, so this is a lower bound, exactly
-/// as the dense estimate was).
+/// storage plus the rows themselves (a row moved to BigInt form owns
+/// more, so this is a lower bound, exactly as the dense estimate was).
 uint64_t NonzeroBytes(const SparseTableau& tableau) {
   return NonzeroCells(tableau) * sizeof(SparseRow::Entry) +
-         tableau.rhs.size() * sizeof(Scalar);
+         tableau.rows.size() * sizeof(SparseRow);
 }
 
-/// Runs primal simplex with Bland's rule, maximizing `cost . x` on the
-/// current tableau. Artificial columns never enter the basis unless
-/// `allow_artificial` is set (phase 1). Returns the outcome; on
+/// Runs primal simplex with Bland's rule, maximizing the cost row
+/// `reduced` arrives with on the current tableau. The reduced costs
+/// z = c − c_B·T are one more integer row: the cost row is folded against
+/// the basic rows once, then each pivot updates it by the same
+/// elimination as a tableau row, so its right-hand side holds minus the
+/// objective value throughout. Artificial columns never enter the basis
+/// unless `allow_artificial` is set (phase 1). Returns the outcome; on
 /// kResourceExhausted-style pivot overflow returns an error carrying a
 /// LimitReport-formatted message, and a tripped/cancelled ExecContext
 /// aborts between pivots.
-Result<LpOutcome> RunSimplex(SparseTableau* tableau,
-                             const std::vector<Scalar>& cost,
+Result<LpOutcome> RunSimplex(SparseTableau* tableau, SparseRow* reduced,
                              bool allow_artificial, size_t max_pivots,
                              ExecContext* exec, size_t* pivots) {
-  const size_t num_rows = tableau->rows.size();
-  // Reduced costs z_j = c_j - sum_i c_{B(i)} * T[i][j], computed once and
-  // then maintained incrementally across pivots (the pivot makes the
-  // entering column's reduced cost zero and updates the rest by one row
-  // combination). The vector is dense, but both the initial fold and the
-  // per-pivot update only touch the pivot row's nonzeros.
-  std::vector<Scalar> reduced(cost.begin(),
-                              cost.begin() + tableau->num_cols);
-  for (size_t i = 0; i < num_rows; ++i) {
-    const Scalar& basic_cost = cost[tableau->basis[i]];
-    if (basic_cost.is_zero()) continue;
-    for (const SparseRow::Entry& entry : tableau->rows[i].entries()) {
-      reduced[entry.col] -= basic_cost * entry.value;
-    }
-  }
+  SparseRow::Scratch buffer;
+  tableau->EliminateBasics(reduced, &buffer);
   while (true) {
     // Bland's rule: enter the lowest-indexed column with positive
-    // reduced cost.
+    // reduced cost (the row's entries are sorted by column).
     int entering = -1;
-    for (int j = 0; j < tableau->num_cols; ++j) {
-      if (!allow_artificial && tableau->is_artificial[j]) continue;
-      if (reduced[j].is_positive()) {
-        entering = j;
-        break;
-      }
+    size_t entering_k = 0;
+    for (size_t k = 0; k < reduced->nnz(); ++k) {
+      if (reduced->SignAt(k) <= 0) continue;
+      const int col = reduced->ColAt(k);
+      if (!allow_artificial && tableau->is_artificial[col]) continue;
+      entering = col;
+      entering_k = k;
+      break;
     }
     if (entering < 0) return LpOutcome::kOptimal;
 
     // Ratio test; ties broken by lowest basic-variable index (Bland).
+    tableau->CollectColumn(entering);
     int leaving_row = -1;
-    Scalar best_ratio;
-    for (size_t i = 0; i < num_rows; ++i) {
-      const Scalar* coefficient = tableau->rows[i].Find(entering);
-      if (coefficient == nullptr || !coefficient->is_positive()) continue;
-      Scalar ratio = tableau->rhs[i] / *coefficient;
-      if (leaving_row < 0 || ratio < best_ratio ||
-          (ratio == best_ratio &&
-           tableau->basis[i] < tableau->basis[leaving_row])) {
+    size_t leaving_k = 0;
+    for (const auto& [i, k] : tableau->column) {
+      const SparseRow& row = tableau->rows[i];
+      if (row.SignAt(k) <= 0) continue;
+      int order = -1;
+      if (leaving_row >= 0) {
+        order = SparseRow::CompareRatios(
+            row, k, tableau->rows[static_cast<size_t>(leaving_row)],
+            leaving_k);
+      }
+      if (order < 0 ||
+          (order == 0 && tableau->basis[i] < tableau->basis[leaving_row])) {
         leaving_row = static_cast<int>(i);
-        best_ratio = std::move(ratio);
+        leaving_k = k;
       }
     }
     if (leaving_row < 0) return LpOutcome::kUnbounded;
 
-    tableau->Pivot(static_cast<size_t>(leaving_row), entering);
-    // Fold the (now normalized) pivot row into the reduced-cost row.
-    Scalar factor = reduced[entering];
-    if (!factor.is_zero()) {
-      for (const SparseRow::Entry& entry :
-           tableau->rows[static_cast<size_t>(leaving_row)].entries()) {
-        reduced[entry.col] -= factor * entry.value;
-      }
-    }
+    const size_t pivot_k =
+        tableau->Pivot(static_cast<size_t>(leaving_row), entering);
+    reduced->Eliminate(entering_k,
+                       tableau->rows[static_cast<size_t>(leaving_row)],
+                       pivot_k, &buffer);
     ++*pivots;
     if (exec != nullptr) exec->CountPivots(1);
     CAR_RETURN_IF_ERROR(GovChargeWork(exec, 1, "simplex"));
@@ -228,14 +230,29 @@ Result<LpOutcome> RunSimplex(SparseTableau* tableau,
   }
 }
 
-Scalar ObjectiveValue(const SparseTableau& tableau,
-                      const std::vector<Scalar>& cost) {
-  Scalar value;
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const Scalar& basic_cost = cost[tableau.basis[i]];
-    if (!basic_cost.is_zero()) value += basic_cost * tableau.rhs[i];
+/// The phase-1 cost row: -1 on every artificial column.
+SparseRow PhaseOneCost(const SparseTableau& tableau) {
+  SparseRow cost;
+  for (int j = 0; j < tableau.num_cols; ++j) {
+    if (tableau.is_artificial[j]) cost.Append(j, -1);
   }
-  return value;
+  return cost;
+}
+
+/// The row of `expr`'s terms, each at its variable's column (the phase-2
+/// cost row of an objective, or the start of an appended constraint).
+SparseRow ExprRow(const LinearExpr& expr, const std::vector<int>& col_of_var) {
+  std::vector<std::pair<int, const Rational*>> terms;
+  terms.reserve(expr.terms().size());
+  for (const auto& [variable, coefficient] : expr.terms()) {
+    CAR_CHECK_GE(variable, 0);
+    CAR_CHECK_LT(variable, static_cast<int>(col_of_var.size()));
+    terms.emplace_back(col_of_var[variable], &coefficient);
+  }
+  std::sort(terms.begin(), terms.end());
+  SparseRow row;
+  for (const auto& [col, coefficient] : terms) row.Append(col, *coefficient);
+  return row;
 }
 
 /// Reads a Farkas certificate off an optimal phase-1 tableau whose
@@ -265,11 +282,11 @@ InfeasibilityCertificate ExtractFarkasCertificate(
   certificate.row_multipliers.assign(num_rows, Rational());
   for (size_t r = 0; r < num_rows; ++r) {
     if (!tableau.is_artificial[tableau.basis[r]]) continue;
-    for (const SparseRow::Entry& entry : tableau.rows[r].entries()) {
-      int i = row_of_col[static_cast<size_t>(entry.col)];
+    const SparseRow& row = tableau.rows[r];
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      int i = row_of_col[static_cast<size_t>(row.ColAt(k))];
       if (i < 0) continue;
-      certificate.row_multipliers[static_cast<size_t>(i)] +=
-          entry.value.ToRational();
+      certificate.row_multipliers[static_cast<size_t>(i)] += row.ValueAt(k);
     }
   }
   for (size_t i = 0; i < num_rows; ++i) {
@@ -301,6 +318,7 @@ SparseTableau BuildTableau(const LinearSystem& system) {
 
   int next_slack = n;
   int next_artificial = n + num_slack;
+  tableau.rows.reserve(constraints.size());
   for (const LinearConstraint& constraint : constraints) {
     SparseRow row;
     row.reserve(constraint.expr.terms().size() + 2);
@@ -311,27 +329,27 @@ SparseTableau BuildTableau(const LinearSystem& system) {
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
-      row.Append(variable, Scalar(flip ? -coefficient : coefficient));
+      row.Append(variable, flip ? -coefficient : coefficient);
     }
     int basic = -1;
     switch (relation) {
       case Relation::kLessEqual:
-        row.Append(next_slack, Scalar(1));
+        row.Append(next_slack, 1);
         basic = next_slack++;
         break;
       case Relation::kGreaterEqual:
-        row.Append(next_slack, Scalar(-1));
+        row.Append(next_slack, -1);
         ++next_slack;
-        row.Append(next_artificial, Scalar(1));
+        row.Append(next_artificial, 1);
         basic = next_artificial++;
         break;
       case Relation::kEqual:
-        row.Append(next_artificial, Scalar(1));
+        row.Append(next_artificial, 1);
         basic = next_artificial++;
         break;
     }
+    row.SetRhs(flip ? -constraint.rhs : constraint.rhs);
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(Scalar(flip ? -constraint.rhs : constraint.rhs));
     tableau.basis.push_back(basic);
     tableau.init_basic.push_back(basic);
     tableau.flipped.push_back(flip);
@@ -352,18 +370,18 @@ void RemoveArtificialsFromBasis(SparseTableau* tableau) {
       continue;
     }
     int replacement = -1;
-    for (const SparseRow::Entry& entry : tableau->rows[i].entries()) {
-      if (tableau->is_artificial[entry.col]) continue;
-      replacement = entry.col;
+    const SparseRow& row = tableau->rows[i];
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      if (tableau->is_artificial[row.ColAt(k)]) continue;
+      replacement = row.ColAt(k);
       break;
     }
     if (replacement >= 0) {
-      tableau->Pivot(i, replacement);
+      tableau->PivotOnColumn(i, replacement);
       ++i;
     } else {
       // Redundant constraint: the whole row is zero over real columns.
       tableau->rows.erase(tableau->rows.begin() + static_cast<long>(i));
-      tableau->rhs.erase(tableau->rhs.begin() + static_cast<long>(i));
       tableau->basis.erase(tableau->basis.begin() + static_cast<long>(i));
       tableau->init_basic.erase(tableau->init_basic.begin() +
                                 static_cast<long>(i));
@@ -374,23 +392,12 @@ void RemoveArtificialsFromBasis(SparseTableau* tableau) {
   }
 }
 
-std::vector<Rational> ExtractSolution(const SparseTableau& tableau, int n) {
-  std::vector<Rational> values(n);
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    if (tableau.basis[i] < n) {
-      values[tableau.basis[i]] = tableau.rhs[i].ToRational();
-    }
-  }
-  return values;
-}
-
 /// Moves the tableau-shaped members of a snapshot into a SparseTableau
 /// (and back): the snapshot is the persisted form of the same sparse
 /// state.
 SparseTableau TableauFromSnapshot(SimplexSnapshot* snapshot) {
   SparseTableau tableau;
   tableau.rows = std::move(snapshot->rows);
-  tableau.rhs = std::move(snapshot->rhs);
   tableau.basis = std::move(snapshot->basis);
   tableau.is_artificial = std::move(snapshot->is_artificial);
   tableau.init_basic = std::move(snapshot->init_basic);
@@ -403,7 +410,6 @@ SparseTableau TableauFromSnapshot(SimplexSnapshot* snapshot) {
 
 void TableauIntoSnapshot(SparseTableau tableau, SimplexSnapshot* snapshot) {
   snapshot->rows = std::move(tableau.rows);
-  snapshot->rhs = std::move(tableau.rhs);
   snapshot->basis = std::move(tableau.basis);
   snapshot->is_artificial = std::move(tableau.is_artificial);
   snapshot->init_basic = std::move(tableau.init_basic);
@@ -432,21 +438,88 @@ int AppendColumn(SparseTableau* tableau, bool artificial) {
 void ParkOrEvictArtificials(SparseTableau* tableau) {
   for (size_t i = 0; i < tableau->rows.size(); ++i) {
     if (!tableau->is_artificial[tableau->basis[i]]) continue;
-    if (!tableau->rhs[i].is_zero()) continue;
+    if (tableau->rows[i].rhs_sign() != 0) continue;
     // Resume from the row's known-zero prefix: columns below it were
     // found zero by an earlier sweep and no pivot has modified the row
     // since (Pivot resets the prefix), so only appended columns — the
     // ones a delta could have populated — need scanning. The sparse row
     // holds only nonzeros, so the scan is over entries, not columns.
     bool evicted = false;
-    for (const SparseRow::Entry& entry : tableau->rows[i].entries()) {
-      if (entry.col < tableau->zero_checked[i]) continue;
-      if (tableau->is_artificial[entry.col]) continue;
-      tableau->Pivot(i, entry.col);
+    const SparseRow& row = tableau->rows[i];
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      const int col = row.ColAt(k);
+      if (col < tableau->zero_checked[i]) continue;
+      if (tableau->is_artificial[col]) continue;
+      tableau->PivotOnColumn(i, col);
       evicted = true;
       break;
     }
     if (!evicted) tableau->zero_checked[i] = tableau->num_cols;
+  }
+}
+
+/// Runs phase 1 and phase 2 on a tableau whose basis may hold positive
+/// artificials (the cold build, or a resume that appended rows): phase 1
+/// maximizes minus their sum, and an optimum below zero means the system
+/// is infeasible (reported in result->outcome, the tableau left at the
+/// phase-1 optimum). Otherwise `clear_artificials` settles the
+/// zero-valued artificials and phase 2 maximizes `objective`, whose
+/// terms sit at `col_of_var`'s columns, filling outcome, objective and
+/// values (one per structural variable, mapped back by `var_of_col`, or
+/// by identity when it is null).
+Status SolvePhases(const SimplexSolver::Options& options,
+                   bool has_artificial, const LinearExpr& objective,
+                   const std::vector<int>& col_of_var,
+                   const std::vector<int>* var_of_col,
+                   void (*clear_artificials)(SparseTableau*),
+                   SparseTableau* tableau, LpResult* result) {
+  if (has_artificial) {
+    SparseRow phase1 = PhaseOneCost(*tableau);
+    CAR_ASSIGN_OR_RETURN(
+        LpOutcome outcome,
+        RunSimplex(tableau, &phase1, /*allow_artificial=*/true,
+                   options.max_pivots, options.exec, &result->pivots));
+    CAR_CHECK(outcome == LpOutcome::kOptimal)
+        << "phase 1 cannot be unbounded";
+    if (phase1.rhs_sign() != 0) {
+      result->outcome = LpOutcome::kInfeasible;
+      return Status::Ok();
+    }
+    clear_artificials(tableau);
+  }
+  SparseRow phase2 = ExprRow(objective, col_of_var);
+  CAR_ASSIGN_OR_RETURN(
+      result->outcome,
+      RunSimplex(tableau, &phase2, /*allow_artificial=*/false,
+                 options.max_pivots, options.exec, &result->pivots));
+  result->objective = -phase2.RhsValue();
+  result->values.resize(col_of_var.size());
+  for (size_t i = 0; i < tableau->rows.size(); ++i) {
+    const int col = tableau->basis[i];
+    const int variable = var_of_col != nullptr
+                             ? (*var_of_col)[col]
+                             : (col < static_cast<int>(col_of_var.size())
+                                    ? col
+                                    : -1);
+    if (variable >= 0) result->values[variable] = tableau->rows[i].RhsValue();
+  }
+  return Status::Ok();
+}
+
+/// Records a sparse solve's promotion count (rows that moved to BigInt
+/// form since `promotions_before`) and final fill, on the result and the
+/// governor.
+void FinishSparse(const SimplexSolver::Options& options,
+                  const SparseTableau& tableau, uint64_t promotions_before,
+                  LpResult* result) {
+  result->scalar_promotions =
+      SparseRow::promotions_this_thread() - promotions_before;
+  result->tableau_nonzeros = NonzeroCells(tableau);
+  result->tableau_cells = DenseExtent(tableau);
+  if (options.exec != nullptr) {
+    options.exec->CountScalarPromotions(result->scalar_promotions);
+    options.exec->RecordTableauFill(result->tableau_nonzeros,
+                                    result->tableau_cells);
   }
 }
 
@@ -461,93 +534,51 @@ Result<LpResult> SolveSparseCold(const SimplexSolver::Options& options,
                                  void (*clear_artificials)(SparseTableau*),
                                  SparseTableau* tableau) {
   CAR_RETURN_IF_ERROR(GovCheck(options.exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
+  const uint64_t promotions_before = SparseRow::promotions_this_thread();
   *tableau = BuildTableau(system);
   // The tableau is the dominant allocation of a solve; charge its
   // nonzero storage (the whole point of the sparse kernel is that this
   // is far below rows * cols).
   CAR_RETURN_IF_ERROR(
       GovChargeBytes(options.exec, NonzeroBytes(*tableau), "simplex"));
-  const int n = system.num_variables();
-  LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(*tableau);
-    result.tableau_cells = DenseExtent(*tableau);
-    if (options.exec != nullptr) {
-      options.exec->CountScalarPromotions(result.scalar_promotions);
-      options.exec->RecordTableauFill(result.tableau_nonzeros,
-                                      result.tableau_cells);
-    }
-  };
-
-  // Phase 1: maximize minus the sum of artificial variables.
+  std::vector<int> identity(static_cast<size_t>(system.num_variables()));
+  std::iota(identity.begin(), identity.end(), 0);
   bool has_artificial = false;
   for (bool flag : tableau->is_artificial) has_artificial |= flag;
-  if (has_artificial) {
-    std::vector<Scalar> phase1_cost(tableau->num_cols);
-    for (int j = 0; j < tableau->num_cols; ++j) {
-      if (tableau->is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    CAR_ASSIGN_OR_RETURN(
-        LpOutcome outcome,
-        RunSimplex(tableau, phase1_cost, /*allow_artificial=*/true,
-                   options.max_pivots, options.exec, &result.pivots));
-    CAR_CHECK(outcome == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(*tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      if (options.extract_certificate) {
-        result.infeasibility_certificate = ExtractFarkasCertificate(*tableau);
-      }
-      finish();
-      return result;
-    }
-    clear_artificials(tableau);
+  LpResult result;
+  CAR_RETURN_IF_ERROR(SolvePhases(options, has_artificial, objective,
+                                  identity, nullptr, clear_artificials,
+                                  tableau, &result));
+  if (result.outcome == LpOutcome::kInfeasible &&
+      options.extract_certificate) {
+    result.infeasibility_certificate = ExtractFarkasCertificate(*tableau);
   }
-
-  // Phase 2: maximize the real objective.
-  std::vector<Scalar> phase2_cost(tableau->num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = Scalar(coefficient);
-  }
-  CAR_ASSIGN_OR_RETURN(
-      LpOutcome outcome,
-      RunSimplex(tableau, phase2_cost, /*allow_artificial=*/false,
-                 options.max_pivots, options.exec, &result.pivots));
-  result.outcome = outcome;
-  result.values = ExtractSolution(*tableau, n);
-  result.objective = ObjectiveValue(*tableau, phase2_cost).ToRational();
-  finish();
+  FinishSparse(options, *tableau, promotions_before, &result);
   return result;
 }
 
 // ===========================================================================
-// Dense reference kernel, templated on the cell type. Retained for the
-// differential tests and the dense-vs-sparse / bigint-vs-scalar bench
-// cells; reachable only through Maximize/CheckFeasible with an explicit
-// Options::kernel selection.
+// Dense reference kernel over Rationals: the oracle. Retained for the
+// differential tests and the dense-vs-sparse bench cells; reachable only
+// through Maximize/CheckFeasible with an explicit Options::kernel
+// selection.
 // ===========================================================================
 
-template <typename Cell>
 struct DenseTableau {
-  std::vector<std::vector<Cell>> rows;
-  std::vector<Cell> rhs;
+  std::vector<std::vector<Rational>> rows;
+  std::vector<Rational> rhs;
   std::vector<int> basis;
   std::vector<bool> is_artificial;
   int num_cols = 0;
 
   void Pivot(size_t pivot_row, int pivot_col) {
-    Cell pivot_value = rows[pivot_row][pivot_col];
+    Rational pivot_value = rows[pivot_row][pivot_col];
     CAR_CHECK(!pivot_value.is_zero());
-    for (Cell& cell : rows[pivot_row]) cell /= pivot_value;
+    for (Rational& cell : rows[pivot_row]) cell /= pivot_value;
     rhs[pivot_row] /= pivot_value;
     for (size_t r = 0; r < rows.size(); ++r) {
       if (r == pivot_row) continue;
-      Cell factor = rows[r][pivot_col];
+      Rational factor = rows[r][pivot_col];
       if (factor.is_zero()) continue;
       for (int c = 0; c < num_cols; ++c) {
         if (!rows[pivot_row][c].is_zero()) {
@@ -560,15 +591,14 @@ struct DenseTableau {
   }
 };
 
-template <typename Cell>
-Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
-                                  const std::vector<Cell>& cost,
+Result<LpOutcome> RunDenseSimplex(DenseTableau* tableau,
+                                  const std::vector<Rational>& cost,
                                   bool allow_artificial, size_t max_pivots,
                                   ExecContext* exec, size_t* pivots) {
   const size_t num_rows = tableau->rows.size();
-  std::vector<Cell> reduced(cost.begin(), cost.begin() + tableau->num_cols);
+  std::vector<Rational> reduced(cost.begin(), cost.begin() + tableau->num_cols);
   for (size_t i = 0; i < num_rows; ++i) {
-    const Cell& basic_cost = cost[tableau->basis[i]];
+    const Rational& basic_cost = cost[tableau->basis[i]];
     if (basic_cost.is_zero()) continue;
     for (int j = 0; j < tableau->num_cols; ++j) {
       if (!tableau->rows[i][j].is_zero()) {
@@ -588,11 +618,11 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
     if (entering < 0) return LpOutcome::kOptimal;
 
     int leaving_row = -1;
-    Cell best_ratio;
+    Rational best_ratio;
     for (size_t i = 0; i < num_rows; ++i) {
-      const Cell& coefficient = tableau->rows[i][entering];
+      const Rational& coefficient = tableau->rows[i][entering];
       if (!coefficient.is_positive()) continue;
-      Cell ratio = tableau->rhs[i] / coefficient;
+      Rational ratio = tableau->rhs[i] / coefficient;
       if (leaving_row < 0 || ratio < best_ratio ||
           (ratio == best_ratio &&
            tableau->basis[i] < tableau->basis[leaving_row])) {
@@ -603,9 +633,9 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
     if (leaving_row < 0) return LpOutcome::kUnbounded;
 
     tableau->Pivot(static_cast<size_t>(leaving_row), entering);
-    Cell factor = reduced[entering];
+    Rational factor = reduced[entering];
     if (!factor.is_zero()) {
-      const std::vector<Cell>& pivot_row =
+      const std::vector<Rational>& pivot_row =
           tableau->rows[static_cast<size_t>(leaving_row)];
       for (int j = 0; j < tableau->num_cols; ++j) {
         if (!pivot_row[j].is_zero()) {
@@ -624,26 +654,24 @@ Result<LpOutcome> RunDenseSimplex(DenseTableau<Cell>* tableau,
   }
 }
 
-template <typename Cell>
-Cell DenseObjectiveValue(const DenseTableau<Cell>& tableau,
-                         const std::vector<Cell>& cost) {
-  Cell value;
+Rational DenseObjectiveValue(const DenseTableau& tableau,
+                             const std::vector<Rational>& cost) {
+  Rational value;
   for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const Cell& basic_cost = cost[tableau.basis[i]];
+    const Rational& basic_cost = cost[tableau.basis[i]];
     if (!basic_cost.is_zero()) value += basic_cost * tableau.rhs[i];
   }
   return value;
 }
 
-template <typename Cell>
-DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
+DenseTableau BuildDenseTableau(const LinearSystem& system) {
   const int n = system.num_variables();
   const auto& constraints = system.constraints();
   int num_slack = 0;
   int num_artificial = 0;
   CountAuxiliaryColumns(constraints, &num_slack, &num_artificial);
 
-  DenseTableau<Cell> tableau;
+  DenseTableau tableau;
   tableau.num_cols = n + num_slack + num_artificial;
   tableau.is_artificial.assign(tableau.num_cols, false);
   for (int j = n + num_slack; j < tableau.num_cols; ++j) {
@@ -653,41 +681,38 @@ DenseTableau<Cell> BuildDenseTableau(const LinearSystem& system) {
   int next_slack = n;
   int next_artificial = n + num_slack;
   for (const LinearConstraint& constraint : constraints) {
-    std::vector<Cell> row(tableau.num_cols);
+    std::vector<Rational> row(tableau.num_cols);
     const auto [flip, relation] = EntryOf(constraint);
     for (const auto& [variable, coefficient] : constraint.expr.terms()) {
       CAR_CHECK_GE(variable, 0);
       CAR_CHECK_LT(variable, n);
-      row[variable] =
-          CellFromRational<Cell>(flip ? -coefficient : coefficient);
+      row[variable] = flip ? -coefficient : coefficient;
     }
     int basic = -1;
     switch (relation) {
       case Relation::kLessEqual:
-        row[next_slack] = Cell(1);
+        row[next_slack] = Rational(1);
         basic = next_slack++;
         break;
       case Relation::kGreaterEqual:
-        row[next_slack] = Cell(-1);
+        row[next_slack] = Rational(-1);
         ++next_slack;
-        row[next_artificial] = Cell(1);
+        row[next_artificial] = Rational(1);
         basic = next_artificial++;
         break;
       case Relation::kEqual:
-        row[next_artificial] = Cell(1);
+        row[next_artificial] = Rational(1);
         basic = next_artificial++;
         break;
     }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(
-        CellFromRational<Cell>(flip ? -constraint.rhs : constraint.rhs));
+    tableau.rhs.push_back(flip ? -constraint.rhs : constraint.rhs);
     tableau.basis.push_back(basic);
   }
   return tableau;
 }
 
-template <typename Cell>
-void RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau) {
+void RemoveArtificialsFromDenseBasis(DenseTableau* tableau) {
   for (size_t i = 0; i < tableau->rows.size();) {
     if (!tableau->is_artificial[tableau->basis[i]]) {
       ++i;
@@ -712,11 +737,10 @@ void RemoveArtificialsFromDenseBasis(DenseTableau<Cell>* tableau) {
   }
 }
 
-template <typename Cell>
-uint64_t DenseNonzeroCells(const DenseTableau<Cell>& tableau) {
+uint64_t DenseNonzeroCells(const DenseTableau& tableau) {
   uint64_t nonzeros = 0;
-  for (const std::vector<Cell>& row : tableau.rows) {
-    for (const Cell& cell : row) {
+  for (const std::vector<Rational>& row : tableau.rows) {
+    for (const Rational& cell : row) {
       if (!cell.is_zero()) ++nonzeros;
     }
   }
@@ -725,30 +749,25 @@ uint64_t DenseNonzeroCells(const DenseTableau<Cell>& tableau) {
 
 /// The dense-kernel Maximize: identical control flow (and hence identical
 /// pivot sequence and answer) to the sparse production path, over dense
-/// rows of `Cell`.
-template <typename Cell>
+/// rows of Rationals (so it never promotes).
 Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
                                const LinearSystem& system,
                                const LinearExpr& objective) {
   ExecContext* exec = options.exec;
   CAR_RETURN_IF_ERROR(GovCheck(exec, "simplex"));
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
-  DenseTableau<Cell> tableau = BuildDenseTableau<Cell>(system);
+  DenseTableau tableau = BuildDenseTableau(system);
   CAR_RETURN_IF_ERROR(GovChargeBytes(
       exec,
       tableau.rows.size() * static_cast<uint64_t>(tableau.num_cols) *
-          sizeof(Cell),
+          sizeof(Rational),
       "simplex"));
   const int n = system.num_variables();
   LpResult result;
   auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
     result.tableau_nonzeros = DenseNonzeroCells(tableau);
     result.tableau_cells =
         tableau.rows.size() * static_cast<uint64_t>(tableau.num_cols);
     if (exec != nullptr) {
-      exec->CountScalarPromotions(result.scalar_promotions);
       exec->RecordTableauFill(result.tableau_nonzeros, result.tableau_cells);
     }
   };
@@ -756,9 +775,9 @@ Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
   bool has_artificial = false;
   for (bool flag : tableau.is_artificial) has_artificial |= flag;
   if (has_artificial) {
-    std::vector<Cell> phase1_cost(tableau.num_cols);
+    std::vector<Rational> phase1_cost(tableau.num_cols);
     for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Cell(-1);
+      if (tableau.is_artificial[j]) phase1_cost[j] = Rational(-1);
     }
     CAR_ASSIGN_OR_RETURN(
         LpOutcome outcome,
@@ -774,11 +793,11 @@ Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
     RemoveArtificialsFromDenseBasis(&tableau);
   }
 
-  std::vector<Cell> phase2_cost(tableau.num_cols);
+  std::vector<Rational> phase2_cost(tableau.num_cols);
   for (const auto& [variable, coefficient] : objective.terms()) {
     CAR_CHECK_GE(variable, 0);
     CAR_CHECK_LT(variable, n);
-    phase2_cost[variable] = CellFromRational<Cell>(coefficient);
+    phase2_cost[variable] = coefficient;
   }
   CAR_ASSIGN_OR_RETURN(
       LpOutcome outcome,
@@ -788,10 +807,10 @@ Result<LpResult> DenseMaximize(const SimplexSolver::Options& options,
   result.values.assign(n, Rational());
   for (size_t i = 0; i < tableau.rows.size(); ++i) {
     if (tableau.basis[i] < n) {
-      result.values[tableau.basis[i]] = CellToRational(tableau.rhs[i]);
+      result.values[tableau.basis[i]] = tableau.rhs[i];
     }
   }
-  result.objective = CellToRational(DenseObjectiveValue(tableau, phase2_cost));
+  result.objective = DenseObjectiveValue(tableau, phase2_cost);
   finish();
   return result;
 }
@@ -812,12 +831,10 @@ const char* LpOutcomeToString(LpOutcome outcome) {
 
 const char* SimplexKernelToString(SimplexKernel kernel) {
   switch (kernel) {
-    case SimplexKernel::kSparseScalar:
-      return "sparse-scalar";
+    case SimplexKernel::kSparse:
+      return "sparse";
     case SimplexKernel::kDenseRational:
       return "dense-rational";
-    case SimplexKernel::kDenseScalar:
-      return "dense-scalar";
   }
   return "unknown";
 }
@@ -860,15 +877,9 @@ bool ValidateInfeasibilityCertificate(
 
 Result<LpResult> SimplexSolver::Maximize(const LinearSystem& system,
                                          const LinearExpr& objective) const {
-  switch (options_.kernel) {
-    case SimplexKernel::kDenseRational:
-      return DenseMaximize<Rational>(options_, system, objective);
-    case SimplexKernel::kDenseScalar:
-      return DenseMaximize<Scalar>(options_, system, objective);
-    case SimplexKernel::kSparseScalar:
-      break;
+  if (options_.kernel == SimplexKernel::kDenseRational) {
+    return DenseMaximize(options_, system, objective);
   }
-
   // Redundant rows (all zero over real columns after phase 1) are dropped.
   SparseTableau tableau;
   return SolveSparseCold(options_, system, objective,
@@ -911,7 +922,7 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
   CAR_CHECK(snapshot != nullptr);
   CAR_RETURN_IF_ERROR(GovCheck(options_.exec, "simplex"));
   if (options_.exec != nullptr) options_.exec->CountWarmStarts(1);
-  const uint64_t promotions_before = Scalar::promotions_this_thread();
+  const uint64_t promotions_before = SparseRow::promotions_this_thread();
 
   const int old_num_vars = snapshot->num_variables();
   const size_t old_num_rows = snapshot->num_constraints;
@@ -952,82 +963,52 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
                  old_num_vars + delta.num_new_variables);
     const int column = snapshot->col_of_var[extension.variable];
     const size_t row = extension.constraint;
-    Scalar coefficient(tableau.flipped[row] ? -extension.coefficient
-                                            : extension.coefficient);
+    const Rational coefficient = tableau.flipped[row]
+                                     ? -extension.coefficient
+                                     : extension.coefficient;
     const int unit = tableau.init_basic[row];
-    for (size_t i = 0; i < tableau.rows.size(); ++i) {
-      const Scalar* unit_cell = tableau.rows[i].Find(unit);
-      if (unit_cell == nullptr) continue;
-      // Compute before AddAt: the insertion may reallocate the entries
-      // the unit-cell pointer aims into.
-      Scalar increment = coefficient * *unit_cell;
-      tableau.rows[i].AddAt(column, increment);
+    for (SparseRow& target : tableau.rows) {
+      const int k = target.IndexOf(unit);
+      if (k >= 0) {
+        target.AddMultipleOfCell(column, coefficient, static_cast<size_t>(k));
+      }
     }
   }
 
   // --- Append the new constraints: slack/surplus column, elimination of
   // the current basic variables, sign normalization, then a basic column
-  // (the slack if it survived with +1, else a fresh artificial). The row
-  // is accumulated densely in `accumulator` (the scratch dense pivot-row
-  // buffer of the sparse design) and compressed once at the end.
+  // (the slack if it survived with +1, else a fresh artificial). Each
+  // constraint is built as an integer row, like a tableau row, and the
+  // basic columns are eliminated from it with the pivot's elimination.
   bool added_artificial = false;
-  std::vector<Scalar> accumulator;
   for (const LinearConstraint& constraint : delta.new_constraints) {
     int aux = -1;
     if (constraint.relation != Relation::kEqual) {
       aux = AppendColumn(&tableau, /*artificial=*/false);
       snapshot->var_of_col.push_back(-1);
     }
-    accumulator.assign(static_cast<size_t>(tableau.num_cols), Scalar());
-    Scalar rhs(constraint.rhs);
-    for (const auto& [variable, coefficient] : constraint.expr.terms()) {
-      CAR_CHECK_GE(variable, 0);
-      CAR_CHECK_LT(variable, static_cast<int>(snapshot->col_of_var.size()));
-      accumulator[snapshot->col_of_var[variable]] = Scalar(coefficient);
-    }
+    SparseRow row = ExprRow(constraint.expr, snapshot->col_of_var);
     if (aux >= 0) {
-      accumulator[aux] = constraint.relation == Relation::kLessEqual
-                             ? Scalar(1)
-                             : Scalar(-1);
+      row.Append(aux, constraint.relation == Relation::kLessEqual ? 1 : -1);
     }
-    // Eliminate the basic variables (their columns carry an identity
-    // pattern, so a single sweep suffices); only each pivot row's
-    // nonzeros touch the accumulator.
-    for (size_t i = 0; i < tableau.rows.size(); ++i) {
-      Scalar factor = accumulator[tableau.basis[i]];
-      if (factor.is_zero()) continue;
-      for (const SparseRow::Entry& entry : tableau.rows[i].entries()) {
-        accumulator[entry.col] -= factor * entry.value;
-      }
-      rhs -= factor * tableau.rhs[i];
-    }
+    row.SetRhs(constraint.rhs);
+    tableau.EliminateBasics(&row, &tableau.scratch);
     // The cold entry rule on the eliminated row: the new aux column is in
     // no other row, so a >= row's surplus still holds its -1 here, and a
     // zero right-hand side lets the negated row's slack start basic.
-    const bool negate = EntersNegated(rhs, constraint.relation);
-    if (negate) {
-      for (Scalar& cell : accumulator) {
-        if (!cell.is_zero()) cell = -cell;
-      }
-      rhs = -rhs;
-    }
+    const bool negate = EntersNegated(row.rhs_sign(), constraint.relation);
+    if (negate) row.Negate();
+    const int aux_k = aux >= 0 ? row.IndexOf(aux) : -1;
     int basic = -1;
-    if (aux >= 0 && accumulator[aux] == Scalar(1)) {
+    if (aux_k >= 0 && row.IsOneAt(static_cast<size_t>(aux_k))) {
       basic = aux;
     } else {
       basic = AppendColumn(&tableau, /*artificial=*/true);
       snapshot->var_of_col.push_back(-1);
-      accumulator.push_back(Scalar(1));
+      row.Append(basic, 1);
       added_artificial = true;
     }
-    SparseRow row;
-    for (int c = 0; c < tableau.num_cols; ++c) {
-      if (!accumulator[static_cast<size_t>(c)].is_zero()) {
-        row.Append(c, std::move(accumulator[static_cast<size_t>(c)]));
-      }
-    }
     tableau.rows.push_back(std::move(row));
-    tableau.rhs.push_back(std::move(rhs));
     tableau.basis.push_back(basic);
     tableau.init_basic.push_back(basic);
     tableau.flipped.push_back(negate);
@@ -1041,79 +1022,23 @@ Result<LpResult> SimplexSolver::ResumeMaximize(
       bytes_after > bytes_before ? bytes_after - bytes_before : 0,
       "simplex"));
 
+  // Evict parked artificials that a new column made live again before
+  // any pivoting: a basic artificial must stay at zero, which is only
+  // guaranteed while its row is all-zero over real columns.
+  ParkOrEvictArtificials(&tableau);
   LpResult result;
-  auto finish = [&]() {
-    result.scalar_promotions =
-        Scalar::promotions_this_thread() - promotions_before;
-    result.tableau_nonzeros = NonzeroCells(tableau);
-    result.tableau_cells = DenseExtent(tableau);
-    if (options_.exec != nullptr) {
-      options_.exec->CountScalarPromotions(result.scalar_promotions);
-      options_.exec->RecordTableauFill(result.tableau_nonzeros,
-                                       result.tableau_cells);
-    }
-  };
-  auto park = [&]() {
-    // Evict parked artificials that a new column made live again before
-    // any pivoting: a basic artificial must stay at zero, which is only
-    // guaranteed while its row is all-zero over real columns.
-    ParkOrEvictArtificials(&tableau);
-  };
-  park();
-
-  if (added_artificial) {
-    std::vector<Scalar> phase1_cost(tableau.num_cols);
-    for (int j = 0; j < tableau.num_cols; ++j) {
-      if (tableau.is_artificial[j]) phase1_cost[j] = Scalar(-1);
-    }
-    Result<LpOutcome> phase1 =
-        RunSimplex(&tableau, phase1_cost, /*allow_artificial=*/true,
-                   options_.max_pivots, options_.exec, &result.pivots);
-    if (!phase1.ok()) {
-      TableauIntoSnapshot(std::move(tableau), snapshot);
-      return phase1.status();
-    }
-    CAR_CHECK(phase1.value() == LpOutcome::kOptimal)
-        << "phase 1 cannot be unbounded";
-    if (!ObjectiveValue(tableau, phase1_cost).is_zero()) {
-      result.outcome = LpOutcome::kInfeasible;
-      finish();
-      TableauIntoSnapshot(std::move(tableau), snapshot);
-      return result;
-    }
-    park();
-  }
-
-  const int num_vars = snapshot->num_variables();
-  std::vector<Scalar> phase2_cost(tableau.num_cols);
-  for (const auto& [variable, coefficient] : objective.terms()) {
-    CAR_CHECK_GE(variable, 0);
-    CAR_CHECK_LT(variable, num_vars);
-    phase2_cost[snapshot->col_of_var[variable]] = Scalar(coefficient);
-  }
-  Result<LpOutcome> phase2 =
-      RunSimplex(&tableau, phase2_cost, /*allow_artificial=*/false,
-                 options_.max_pivots, options_.exec, &result.pivots);
-  if (!phase2.ok()) {
-    TableauIntoSnapshot(std::move(tableau), snapshot);
-    return phase2.status();
-  }
-  result.outcome = phase2.value();
-  result.objective = ObjectiveValue(tableau, phase2_cost).ToRational();
-  result.values.assign(num_vars, Rational());
-  for (size_t i = 0; i < tableau.rows.size(); ++i) {
-    const int variable = snapshot->var_of_col[tableau.basis[i]];
-    if (variable >= 0) result.values[variable] = tableau.rhs[i].ToRational();
-  }
-  finish();
+  const Status status = SolvePhases(
+      options_, added_artificial, objective, snapshot->col_of_var,
+      &snapshot->var_of_col, ParkOrEvictArtificials, &tableau, &result);
+  if (status.ok()) FinishSparse(options_, tableau, promotions_before, &result);
   TableauIntoSnapshot(std::move(tableau), snapshot);
+  if (!status.ok()) return status;
   return result;
 }
 
 void SimplexSnapshot::ShrinkToFit() {
   for (SparseRow& row : rows) row.ShrinkToFit();
   rows.shrink_to_fit();
-  rhs.shrink_to_fit();
   basis.shrink_to_fit();
   is_artificial.shrink_to_fit();
   init_basic.shrink_to_fit();
@@ -1142,7 +1067,7 @@ Status ValidateSnapshotShape(const SimplexSnapshot& snapshot,
                        " constraints, system has ",
                        system.constraints().size()));
   }
-  if (snapshot.rhs.size() != num_rows || snapshot.basis.size() != num_rows ||
+  if (snapshot.basis.size() != num_rows ||
       snapshot.init_basic.size() != num_rows ||
       snapshot.row_flipped.size() != num_rows ||
       snapshot.zero_checked.size() != num_rows) {
@@ -1164,18 +1089,23 @@ Status ValidateSnapshotShape(const SimplexSnapshot& snapshot,
         snapshot.zero_checked[r] > snapshot.num_cols) {
       return fail(StrCat("zero_checked width of row ", r, " out of range"));
     }
-    if (snapshot.rhs[r].is_negative()) {
+    const SparseRow& row = snapshot.rows[r];
+    if (row.rhs_sign() < 0) {
       return fail(StrCat("negative basic value in row ", r));
     }
     int last_col = -1;
-    for (const SparseRow::Entry& entry : snapshot.rows[r].entries()) {
-      if (entry.col <= last_col || entry.col >= snapshot.num_cols) {
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      if (row.ColAt(k) <= last_col || row.ColAt(k) >= snapshot.num_cols) {
         return fail(StrCat("row ", r, " entries unsorted or out of range"));
       }
-      if (entry.value.is_zero()) {
+      if (row.SignAt(k) == 0) {
         return fail(StrCat("explicit zero entry in row ", r));
       }
-      last_col = entry.col;
+      last_col = row.ColAt(k);
+    }
+    const int basic_k = row.IndexOf(snapshot.basis[r]);
+    if (basic_k < 0 || !row.IsOneAt(static_cast<size_t>(basic_k))) {
+      return fail(StrCat("basic cell of row ", r, " is not 1"));
     }
   }
   for (int v = 0; v < snapshot.num_variables(); ++v) {

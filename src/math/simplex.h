@@ -8,28 +8,27 @@
 #include "base/exec_context.h"
 #include "base/result.h"
 #include "math/linear.h"
-#include "math/scalar.h"
 #include "math/sparse_row.h"
 
 namespace car {
 
 /// Which tableau representation a solve runs on.
 ///
-/// kSparseScalar is the production kernel: compressed sparse rows of
-/// word-sized Scalar cells. The dense kernels are retained as reference
-/// implementations — they follow the identical Bland pivot sequence over
-/// the identical exact values, so their results are bit-identical to the
-/// sparse kernel's — and exist for differential tests and for the
-/// dense-vs-sparse / bigint-vs-scalar cells of bench_pivot_kernel. Only
+/// kSparse is the production kernel: compressed sparse integer rows,
+/// int64 numerators over one positive denominator per row, with any row
+/// that overflows recomputed in BigInt form on its own (sparse_row.h).
+/// kDenseRational is the reference: dense rows of BigInt-backed
+/// Rationals. It follows the identical Bland pivot sequence over the
+/// identical exact values, so its results are bit-identical to the
+/// sparse kernel's, and it exists for differential tests and for the
+/// dense-vs-sparse cells of bench_pivot_kernel. Only
 /// Maximize/CheckFeasible honor the selection; the snapshot/resume paths
 /// always run the production sparse kernel.
 enum class SimplexKernel {
-  /// Sparse rows, int64-fast-path exact scalars (production).
-  kSparseScalar,
-  /// Dense rows of BigInt-backed Rationals (the pre-optimization kernel).
+  /// Sparse integer rows (production).
+  kSparse,
+  /// Dense rows of BigInt-backed Rationals (the oracle).
   kDenseRational,
-  /// Dense rows of Scalar cells (isolates the scalar-layer win).
-  kDenseScalar,
 };
 
 const char* SimplexKernelToString(SimplexKernel kernel);
@@ -83,8 +82,8 @@ struct LpResult {
   Rational objective;
   /// Number of simplex pivots performed (both phases).
   size_t pivots = 0;
-  /// Scalar fast-path overflows promoted to BigInt form during this solve
-  /// (always 0 for the kDenseRational kernel).
+  /// Tableau rows that overflowed their int64 words and moved to BigInt
+  /// form during this solve (always 0 for the kDenseRational kernel).
   uint64_t scalar_promotions = 0;
   /// Nonzero cells of the final tableau, and its dense extent
   /// (rows * columns): nonzeros/cells is the fill ratio the sparse
@@ -94,7 +93,7 @@ struct LpResult {
   /// Farkas infeasibility certificate, populated only when the outcome is
   /// kInfeasible, Options::extract_certificate is set, and the solve ran
   /// the cold sparse kernel (Maximize / CheckFeasible / SolveForSnapshot
-  /// with kSparseScalar; resumed solves never extract — their appended
+  /// with kSparse; resumed solves never extract — their appended
   /// rows pollute the dual read-off). Callers must re-validate via
   /// ValidateInfeasibilityCertificate before acting on it.
   std::optional<InfeasibilityCertificate> infeasibility_certificate;
@@ -104,8 +103,9 @@ struct LpResult {
 ///
 /// Produced by SimplexSolver::SolveForSnapshot and advanced in place by
 /// SimplexSolver::ResumeMaximize. The snapshot owns a full tableau in
-/// compressed-sparse-row form (the production kernel's representation,
-/// so cloning a snapshot copies nonzeros, not columns) whose basis stays
+/// compressed-sparse integer rows, right-hand sides inside them (the
+/// production kernel's representation, so cloning a snapshot copies
+/// nonzeros, not columns) whose basis stays
 /// feasible for the solved system; resuming appends columns and rows to
 /// it instead of rebuilding, so a batch of closely related systems pays
 /// one cold phase 1 in total. Treat the members as opaque: they encode
@@ -114,7 +114,6 @@ struct LpResult {
 /// coherently.
 struct SimplexSnapshot {
   std::vector<SparseRow> rows;
-  std::vector<Scalar> rhs;
   std::vector<int> basis;           // Basic variable (column) of each row.
   std::vector<bool> is_artificial;  // Indexed by column.
   /// Per row: the column that held the identity unit at the row's
@@ -152,9 +151,10 @@ struct SimplexSnapshot {
 /// relies on — matching variable and constraint counts, per-row vectors
 /// of equal length, per-column vectors of length num_cols, basis and
 /// init_basic columns in range, the structural-variable <-> column maps
-/// mutually inverse, row entries column-sorted with nonzero values, and
-/// nonnegative basic values (rhs) — and returns kFailedPrecondition on
-/// the first violation. A snapshot produced by SolveForSnapshot /
+/// mutually inverse, row entries column-sorted with nonzero values, each
+/// row's basic cell 1, and nonnegative basic values (the rows'
+/// right-hand sides) — and returns
+/// kFailedPrecondition on the first violation. A snapshot produced by SolveForSnapshot /
 /// ResumeMaximize on `system` always passes; persisted snapshots
 /// (src/persist) must pass before they are resumed.
 Status ValidateSnapshotShape(const SimplexSnapshot& snapshot,
@@ -197,9 +197,9 @@ struct SimplexDelta {
 /// them — the homogeneous Ψ_S plus its `t <= 1` gadgets — goes straight
 /// to phase 2. Bland's anti-cycling rule is used
 /// throughout, so the solver terminates on every input; arithmetic is
-/// exact (Scalar: int64 fast path with checked overflow promoting to
-/// BigInt-backed Rational), so the answer is never affected by rounding
-/// or wraparound.
+/// exact (integer rows: int64 words with checked overflow moving a row to
+/// BigInt form), so the answer is never affected by rounding or
+/// wraparound.
 class SimplexSolver {
  public:
   struct Options {
@@ -214,7 +214,7 @@ class SimplexSolver {
     /// Tableau representation for Maximize/CheckFeasible (see
     /// SimplexKernel). Snapshot/resume solves always use the production
     /// sparse kernel regardless of this setting.
-    SimplexKernel kernel = SimplexKernel::kSparseScalar;
+    SimplexKernel kernel = SimplexKernel::kSparse;
     /// When set, infeasible cold sparse solves additionally read a Farkas
     /// certificate off the optimal phase-1 tableau into
     /// LpResult::infeasibility_certificate (see there for scope).

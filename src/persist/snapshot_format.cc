@@ -60,14 +60,13 @@ class Writer {
     PutU32(static_cast<uint32_t>(limbs.size()));
     for (size_t i = 0; i < limbs.size(); ++i) PutU32(limbs[i]);
   }
-  void PutScalar(const Scalar& value) {
-    // The canonical two-form representation of Scalar is value-determined
-    // (small iff the reduced value fits int64), so serializing the exact
-    // Rational value loses nothing: Scalar(Rational) restores the same
-    // form on decode.
-    Rational rational = value.ToRational();
-    PutBigInt(rational.numerator());
-    PutMagnitude(rational.denominator());
+  void PutRational(const Rational& value) {
+    // Tableau cells are written one by one as reduced rationals, whatever
+    // row denominator they share in memory, so the bytes depend only on
+    // the values; the decoder rebuilds each row over the least common
+    // denominator of its cells.
+    PutBigInt(value.numerator());
+    PutMagnitude(value.denominator());
   }
   void PutCardinality(const Cardinality& value) {
     PutU64(value.min());
@@ -187,20 +186,20 @@ class Reader {
         BigInt::FromParts(count == 0 ? 0 : 1, limbs.data(), limbs.size()));
     return Status::Ok();
   }
-  Status ReadScalar(Scalar* value) {
+  Status ReadRational(Rational* value) {
     BigInt numerator;
     BigInt denominator;
     CAR_RETURN_IF_ERROR(ReadBigInt(&numerator));
     CAR_RETURN_IF_ERROR(ReadMagnitude(&denominator));
     if (!denominator.is_positive()) {
-      return ParseError("scalar denominator not positive");
+      return ParseError("cell denominator not positive");
     }
     // Canonical-form requirement: the stored fraction must already be in
     // lowest terms, else re-encoding would differ from the input.
     if (BigInt::Gcd(numerator, denominator) != BigInt(1)) {
-      return ParseError("scalar fraction not in lowest terms");
+      return ParseError("cell fraction not in lowest terms");
     }
-    *value = Scalar(Rational(std::move(numerator), std::move(denominator)));
+    *value = Rational(std::move(numerator), std::move(denominator));
     return Status::Ok();
   }
   Status ReadCardinality(Cardinality* value) {
@@ -434,12 +433,12 @@ void EncodePsiPayload(const WarmSnapshot& snapshot, Writer* writer) {
   writer->PutU32(static_cast<uint32_t>(psi.col_of_var.size()));
   for (const SparseRow& row : psi.rows) {
     writer->PutU32(static_cast<uint32_t>(row.nnz()));
-    for (const SparseRow::Entry& entry : row.entries()) {
-      writer->PutU32(static_cast<uint32_t>(entry.col));
-      writer->PutScalar(entry.value);
+    for (size_t k = 0; k < row.nnz(); ++k) {
+      writer->PutU32(static_cast<uint32_t>(row.ColAt(k)));
+      writer->PutRational(row.ValueAt(k));
     }
   }
-  for (const Scalar& value : psi.rhs) writer->PutScalar(value);
+  for (const SparseRow& row : psi.rows) writer->PutRational(row.RhsValue());
   for (int column : psi.basis) {
     writer->PutU32(static_cast<uint32_t>(column));
   }
@@ -496,9 +495,9 @@ Status DecodePsiPayload(std::string_view payload, WarmSnapshot* snapshot) {
     int last_col = -1;
     for (uint32_t k = 0; k < nnz; ++k) {
       uint32_t col = 0;
-      Scalar value;
+      Rational value;
       CAR_RETURN_IF_ERROR(reader.ReadIndex(&col, "entry column"));
-      CAR_RETURN_IF_ERROR(reader.ReadScalar(&value));
+      CAR_RETURN_IF_ERROR(reader.ReadRational(&value));
       if (col >= num_cols || static_cast<int>(col) <= last_col) {
         return ParseError("row entries unsorted or out of range");
       }
@@ -506,12 +505,13 @@ Status DecodePsiPayload(std::string_view payload, WarmSnapshot* snapshot) {
         return ParseError("explicit zero tableau entry");
       }
       last_col = static_cast<int>(col);
-      row.Append(last_col, std::move(value));
+      row.Append(last_col, value);
     }
   }
-  psi.rhs.resize(num_rows);
   for (uint32_t r = 0; r < num_rows; ++r) {
-    CAR_RETURN_IF_ERROR(reader.ReadScalar(&psi.rhs[r]));
+    Rational rhs;
+    CAR_RETURN_IF_ERROR(reader.ReadRational(&rhs));
+    psi.rows[r].SetRhs(rhs);
   }
   psi.basis.resize(num_rows);
   for (uint32_t r = 0; r < num_rows; ++r) {

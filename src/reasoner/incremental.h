@@ -78,7 +78,7 @@ struct IncrementalStats {
   /// Lazy candidate solutions rejected by the full-semantics witness
   /// checker (each one forced that probe down the eager path).
   uint64_t spurious_witnesses = 0;
-  /// Scalar fast-path overflows promoted to BigInt form, summed over the
+  /// Tableau rows moved to BigInt form on int64 overflow, summed over the
   /// base solve and every probe LP. Deterministic across thread counts:
   /// each solve is single-threaded and the sum is commutative.
   uint64_t scalar_promotions = 0;

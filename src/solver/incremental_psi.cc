@@ -28,7 +28,7 @@ Result<LpResult> SolveUnsatProbe(const UnsatProbe& probe,
   SimplexSolver::Options solver_options;
   solver_options.max_pivots = options.max_pivots;
   solver_options.exec = options.exec;
-  solver_options.kernel = SimplexKernel::kSparseScalar;
+  solver_options.kernel = SimplexKernel::kSparse;
   solver_options.extract_certificate = true;
   return SimplexSolver(solver_options).CheckFeasible(probe.psi.system);
 }

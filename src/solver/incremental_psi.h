@@ -57,10 +57,10 @@ struct IncrementalProbeResult {
   size_t fixpoint_rounds = 0;
   size_t lp_solves = 0;
   size_t total_pivots = 0;
-  /// Scalar fast-path promotions summed over the probe's LP solves, and
-  /// the largest (nonzeros / dense extent) tableau among them. All three
-  /// are deterministic per probe: each solve runs on one thread and the
-  /// pivot sequence is fixed by Bland's rule.
+  /// Tableau rows promoted to BigInt form, summed over the probe's LP
+  /// solves, and the largest (nonzeros / dense extent) tableau among
+  /// them. All three are deterministic per probe: each solve runs on one
+  /// thread and the pivot sequence is fixed by Bland's rule.
   uint64_t scalar_promotions = 0;
   uint64_t peak_tableau_nonzeros = 0;
   uint64_t peak_tableau_cells = 0;

@@ -42,7 +42,7 @@ struct PsiSolution {
   size_t total_pivots = 0;
   size_t largest_lp_variables = 0;
   size_t largest_lp_constraints = 0;
-  /// Scalar fast-path overflows promoted to BigInt form, summed over all
+  /// Tableau rows moved to BigInt form on int64 overflow, summed over all
   /// LP solves (0 for the dense-rational kernel).
   uint64_t scalar_promotions = 0;
   /// Largest final tableau across the LP solves, as nonzero cells and as
@@ -74,7 +74,7 @@ struct PsiSolverOptions {
   /// Tableau representation for the support LPs (see SimplexKernel).
   /// Every kernel returns bit-identical results; the non-default kernels
   /// exist for differential tests and benchmarks.
-  SimplexKernel kernel = SimplexKernel::kSparseScalar;
+  SimplexKernel kernel = SimplexKernel::kSparse;
 };
 
 /// Decides satisfiability of every class of the expanded schema.

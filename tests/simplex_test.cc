@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/rng.h"
+#include "persist/snapshot_format.h"
 
 namespace car {
 namespace {
@@ -532,11 +538,34 @@ TEST(SimplexProperty, FeasibilityWitnessAlwaysValid) {
   EXPECT_GT(infeasible_count, 20);
 }
 
-/// Property: the three tableau kernels (sparse-scalar production,
-/// dense-rational reference, dense-scalar reference) are bit-identical on
-/// random maximization problems — same outcome, same objective, same
-/// vertex, same pivot count. This is the exactness contract that lets the
-/// sparse/scalar optimization claim "answers unchanged by construction".
+/// Solves `system` on both kernels and expects bit-identical results;
+/// returns the sparse kernel's.
+LpResult ExpectMatchesDenseRational(const LinearSystem& system,
+                                    const LinearExpr& objective) {
+  auto sparse = SimplexSolver().Maximize(system, objective);
+  SimplexSolver::Options options;
+  options.kernel = SimplexKernel::kDenseRational;
+  auto dense = SimplexSolver(options).Maximize(system, objective);
+  EXPECT_TRUE(sparse.ok() && dense.ok()) << system.ToString();
+  if (!sparse.ok() || !dense.ok()) return LpResult();
+  EXPECT_EQ(dense->outcome, sparse->outcome) << system.ToString();
+  EXPECT_EQ(dense->objective, sparse->objective) << system.ToString();
+  EXPECT_EQ(dense->values, sparse->values) << system.ToString();
+  EXPECT_EQ(dense->pivots, sparse->pivots) << system.ToString();
+  // Zero-skipping is representation-level only: the final tableaus hold
+  // the same nonzero pattern.
+  EXPECT_EQ(dense->tableau_nonzeros, sparse->tableau_nonzeros)
+      << system.ToString();
+  // The dense-rational kernel has no word form to promote from.
+  EXPECT_EQ(dense->scalar_promotions, 0u);
+  return std::move(sparse).value();
+}
+
+/// Property: the two tableau kernels (sparse integer rows in production,
+/// dense rationals as the oracle) are bit-identical on random
+/// maximization problems — same outcome, same objective, same vertex,
+/// same pivot count. This is the exactness contract that lets the sparse
+/// integer kernel claim "answers unchanged by construction".
 TEST(SimplexProperty, KernelsAreBitIdentical) {
   Rng rng(4242);
   for (int iteration = 0; iteration < 200; ++iteration) {
@@ -560,36 +589,7 @@ TEST(SimplexProperty, KernelsAreBitIdentical) {
       if (coefficient != 0) objective.Add(j, Rational(coefficient));
     }
 
-    SimplexSolver::Options sparse_options;
-    sparse_options.kernel = SimplexKernel::kSparseScalar;
-    auto sparse = SimplexSolver(sparse_options).Maximize(system, objective);
-    ASSERT_TRUE(sparse.ok());
-    for (SimplexKernel kernel :
-         {SimplexKernel::kDenseRational, SimplexKernel::kDenseScalar}) {
-      SimplexSolver::Options options;
-      options.kernel = kernel;
-      auto dense = SimplexSolver(options).Maximize(system, objective);
-      ASSERT_TRUE(dense.ok());
-      EXPECT_EQ(dense->outcome, sparse->outcome)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->objective, sparse->objective)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->values, sparse->values)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      EXPECT_EQ(dense->pivots, sparse->pivots)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-      // Zero-skipping is representation-level only: the final tableaus
-      // hold the same nonzero pattern.
-      EXPECT_EQ(dense->tableau_nonzeros, sparse->tableau_nonzeros)
-          << SimplexKernelToString(kernel) << "\n" << system.ToString();
-    }
-    // The dense-rational kernel never touches Scalar cells.
-    SimplexSolver::Options rational_options;
-    rational_options.kernel = SimplexKernel::kDenseRational;
-    auto rational =
-        SimplexSolver(rational_options).Maximize(system, objective);
-    ASSERT_TRUE(rational.ok());
-    EXPECT_EQ(rational->scalar_promotions, 0u);
+    ExpectMatchesDenseRational(system, objective);
   }
 }
 
@@ -679,6 +679,17 @@ PsiShapedSystem RandomPsiShapedSystem(Rng* rng) {
   return psi;
 }
 
+/// A row's exact contents: (column, value) per entry, then the
+/// right-hand side under column -1.
+std::vector<std::pair<int, Rational>> RowValues(const SparseRow& row) {
+  std::vector<std::pair<int, Rational>> values;
+  for (size_t k = 0; k < row.nnz(); ++k) {
+    values.emplace_back(row.ColAt(k), row.ValueAt(k));
+  }
+  values.emplace_back(-1, row.RhsValue());
+  return values;
+}
+
 void ExpectSameSolve(const LpResult& actual, const LpResult& expected,
                      const std::string& context) {
   EXPECT_EQ(actual.outcome, expected.outcome) << context;
@@ -705,8 +716,7 @@ TEST(SimplexEntryRuleTest, HomogeneousLowerRowCostsNoPhaseOnePivot) {
   const LinearSystem twin = WithHomogeneousRowsNegated(system);
 
   for (SimplexKernel kernel :
-       {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
-        SimplexKernel::kDenseScalar}) {
+       {SimplexKernel::kSparse, SimplexKernel::kDenseRational}) {
     SimplexSolver::Options options;
     options.kernel = kernel;
     SimplexSolver solver(options);
@@ -778,18 +788,15 @@ TEST(SimplexEntryRuleTest, ResumedHomogeneousLowerRowsMatchNegatedTwins) {
     ASSERT_TRUE(lower_result.ok());
     ASSERT_TRUE(negated_result.ok());
     ExpectSameSolve(*lower_result, *negated_result, psi.system.ToString());
-    // Only the recorded flip of the appended row tells the two apart.
+    // Only the recorded flip of the appended row tells the two apart:
+    // every row holds the same values (compared by value, not by how a
+    // row's integers and denominator represent them).
     EXPECT_EQ(lower_snapshot.basis, negated_snapshot.basis);
-    EXPECT_EQ(lower_snapshot.rhs, negated_snapshot.rhs);
     ASSERT_EQ(lower_snapshot.rows.size(), negated_snapshot.rows.size());
     for (size_t r = 0; r < lower_snapshot.rows.size(); ++r) {
-      const auto& lower_entries = lower_snapshot.rows[r].entries();
-      const auto& negated_entries = negated_snapshot.rows[r].entries();
-      ASSERT_EQ(lower_entries.size(), negated_entries.size());
-      for (size_t e = 0; e < lower_entries.size(); ++e) {
-        EXPECT_EQ(lower_entries[e].col, negated_entries[e].col);
-        EXPECT_EQ(lower_entries[e].value, negated_entries[e].value);
-      }
+      EXPECT_EQ(RowValues(lower_snapshot.rows[r]),
+                RowValues(negated_snapshot.rows[r]))
+          << "row " << r;
     }
   }
 }
@@ -860,7 +867,7 @@ TEST(SimplexEntryRuleTest, ProbeCertificatesValidateAgainstOriginalRows) {
 
 /// Property: on Ψ-shaped systems, where half of the bound rows are
 /// homogeneous >= rows (KernelsAreBitIdentical's generator draws such a
-/// row about once in 50), the three kernels stay bit-identical, and each
+/// row about once in 50), the two kernels stay bit-identical, and each
 /// walks the same pivots to the same vertex as on the twin system written
 /// with pre-negated <= rows.
 TEST(SimplexProperty, KernelsAreBitIdenticalOnPsiShapedSystems) {
@@ -872,8 +879,7 @@ TEST(SimplexProperty, KernelsAreBitIdenticalOnPsiShapedSystems) {
     ASSERT_TRUE(sparse.ok());
     ASSERT_EQ(sparse->outcome, LpOutcome::kOptimal);
     for (SimplexKernel kernel :
-         {SimplexKernel::kSparseScalar, SimplexKernel::kDenseRational,
-          SimplexKernel::kDenseScalar}) {
+         {SimplexKernel::kSparse, SimplexKernel::kDenseRational}) {
       SimplexSolver::Options options;
       options.kernel = kernel;
       SimplexSolver solver(options);
@@ -889,6 +895,490 @@ TEST(SimplexProperty, KernelsAreBitIdenticalOnPsiShapedSystems) {
       ExpectSameSolve(*negated, *result, context);
     }
   }
+}
+
+// --- Integer rows: word arithmetic, promotion to BigInt and back ---------
+
+/// A row's exact contents as a dense oracle: one value per column below
+/// `width`, then the right-hand side.
+struct RowOracle {
+  std::vector<Rational> cells;
+  Rational rhs;
+};
+
+SparseRow MakeRow(const RowOracle& oracle) {
+  SparseRow row;
+  for (size_t c = 0; c < oracle.cells.size(); ++c) {
+    if (!oracle.cells[c].is_zero()) {
+      row.Append(static_cast<int>(c), oracle.cells[c]);
+    }
+  }
+  row.SetRhs(oracle.rhs);
+  return row;
+}
+
+/// Asserts that `row` holds exactly the oracle's values, with no stored
+/// zero.
+void ExpectRow(const SparseRow& row, const RowOracle& oracle) {
+  std::vector<std::pair<int, Rational>> expected;
+  for (size_t c = 0; c < oracle.cells.size(); ++c) {
+    if (!oracle.cells[c].is_zero()) {
+      expected.emplace_back(static_cast<int>(c), oracle.cells[c]);
+    }
+  }
+  expected.emplace_back(-1, oracle.rhs);
+  ASSERT_EQ(RowValues(row), expected);
+  for (size_t k = 0; k < row.nnz(); ++k) {
+    ASSERT_EQ(row.SignAt(k), row.ValueAt(k).sign());
+  }
+  ASSERT_EQ(row.rhs_sign(), oracle.rhs.sign());
+}
+
+/// The oracle of a − (a[col] / p[col])·p.
+RowOracle Eliminated(const RowOracle& a, const RowOracle& p, size_t col) {
+  const Rational factor = a.cells[col] / p.cells[col];
+  RowOracle result = a;
+  for (size_t c = 0; c < a.cells.size(); ++c) {
+    result.cells[c] -= factor * p.cells[c];
+  }
+  result.rhs -= factor * p.rhs;
+  return result;
+}
+
+Rational Fraction(int64_t numerator, int64_t denominator) {
+  return Rational(BigInt(numerator), BigInt(denominator));
+}
+
+TEST(SparseRowTest, EliminationMatchesRational) {
+  const RowOracle a{{Rational(2), Rational(3), Rational(0)}, Rational(5)};
+  const RowOracle p{{Rational(4), Rational(0), Rational(1)}, Rational(2)};
+  SparseRow row = MakeRow(a);
+  const SparseRow pivot = MakeRow(p);
+  SparseRow::Scratch scratch;
+  row.Eliminate(0, pivot, 0, &scratch);
+  // (2, 3, 0 | 5) − 1/2 · (4, 0, 1 | 2) = (0, 3, −1/2 | 4).
+  ExpectRow(row, Eliminated(a, p, 0));
+  EXPECT_TRUE(row.is_small());
+  EXPECT_EQ(row.IndexOf(0), -1);
+  // Normalizing on −1/2 divides the row by it.
+  row.Normalize(static_cast<size_t>(row.IndexOf(2)));
+  ExpectRow(row, {{Rational(0), Rational(-6), Rational(1)}, Rational(-8)});
+  EXPECT_TRUE(row.IsOneAt(static_cast<size_t>(row.IndexOf(2))));
+}
+
+TEST(SparseRowTest, PromotionOnOverflowAndDemotionBack) {
+  const uint64_t before = SparseRow::promotions_this_thread();
+  const RowOracle a{{Rational(INT64_MAX), Rational(1)}, Rational(0)};
+  const RowOracle p{{Rational(1), Rational(2)}, Rational(0)};
+  SparseRow row = MakeRow(a);
+  SparseRow::Scratch scratch;
+  // INT64_MAX − 1/2 over the denominator 2 needs 2^64 − 3: past a word.
+  row.Eliminate(1, MakeRow(p), 1, &scratch);
+  EXPECT_FALSE(row.is_small());
+  EXPECT_EQ(SparseRow::promotions_this_thread(), before + 1);
+  const RowOracle eliminated = Eliminated(a, p, 1);
+  ExpectRow(row, eliminated);
+  // A copy is as deep as the original and as big.
+  SparseRow copy = row;
+  EXPECT_FALSE(copy.is_small());
+  ExpectRow(copy, eliminated);
+  // Normalizing leaves (1 | 0): the row fits again and returns to words.
+  row.Normalize(0);
+  EXPECT_TRUE(row.is_small());
+  ExpectRow(row, {{Rational(1), Rational(0)}, Rational(0)});
+  ExpectRow(copy, eliminated);
+  copy = row;  // Big -> small assignment drops the BigInt form.
+  EXPECT_TRUE(copy.is_small());
+  EXPECT_EQ(SparseRow::promotions_this_thread(), before + 1);
+}
+
+TEST(SparseRowTest, DenominatorOverflowBoundary) {
+  // 1/2^32 and 1/(2^32 − 1) share no factor: their row denominator is
+  // past a word although each cell alone fits.
+  const int64_t d1 = int64_t{1} << 32;
+  const RowOracle coprime{{Fraction(1, d1), Fraction(1, d1 - 1)}, Rational(0)};
+  SparseRow row = MakeRow(coprime);
+  EXPECT_FALSE(row.is_small());
+  ExpectRow(row, coprime);
+  // With a common factor the least common multiple stays small:
+  // 1/2^62 and 1/2^61 share the denominator 2^62.
+  const int64_t p62 = int64_t{1} << 62;
+  const RowOracle shared{{Fraction(1, p62), Fraction(1, p62 / 2)},
+                         Fraction(3, p62)};
+  SparseRow small = MakeRow(shared);
+  EXPECT_TRUE(small.is_small());
+  ExpectRow(small, shared);
+}
+
+TEST(SparseRowTest, Int64MinEdges) {
+  const RowOracle a{{Rational(INT64_MIN), Rational(1)}, Rational(INT64_MIN)};
+  SparseRow row = MakeRow(a);
+  EXPECT_TRUE(row.is_small());
+  ExpectRow(row, a);
+  // −INT64_MIN = 2^63 does not fit: negation must promote, exactly.
+  SparseRow negated = row;
+  negated.Negate();
+  EXPECT_FALSE(negated.is_small());
+  ExpectRow(negated, {{-a.cells[0], -a.cells[1]}, -a.rhs});
+  // Dividing by INT64_MIN needs the denominator 2^63.
+  row.Normalize(0);
+  EXPECT_FALSE(row.is_small());
+  ExpectRow(row, {{Rational(1), Fraction(1, INT64_MIN)}, Rational(1)});
+  // Eliminating with a multiplier of INT64_MIN is exact too.
+  const RowOracle b{{Rational(INT64_MIN), Rational(3)}, Rational(7)};
+  const RowOracle p{{Rational(1), Rational(-1)}, Rational(2)};
+  SparseRow target = MakeRow(b);
+  SparseRow::Scratch scratch;
+  target.Eliminate(0, MakeRow(p), 0, &scratch);
+  ExpectRow(target, Eliminated(b, p, 0));
+}
+
+TEST(SparseRowTest, AddMultipleOfCellInsertsMergesAndCancels) {
+  RowOracle oracle{{Rational(2), Rational(0), Rational(5), Rational(0)},
+                   Rational(1)};
+  SparseRow row = MakeRow(oracle);
+  auto at = [&row](int col) { return static_cast<size_t>(row.IndexOf(col)); };
+  // Insert: cell 1 += 3 · cell 0.
+  row.AddMultipleOfCell(1, Rational(3), at(0));
+  oracle.cells[1] = Rational(6);
+  ExpectRow(row, oracle);
+  // Cancel: cell 1 += −3 · cell 0 erases the entry.
+  row.AddMultipleOfCell(1, Rational(-3), at(0));
+  oracle.cells[1] = Rational(0);
+  ExpectRow(row, oracle);
+  // A fractional factor rescales the row: cell 3 += 1/3 · cell 2.
+  row.AddMultipleOfCell(3, Fraction(1, 3), at(2));
+  oracle.cells[3] = Fraction(5, 3);
+  ExpectRow(row, oracle);
+  // An overflowing product promotes: cell 3 += INT64_MAX · cell 0.
+  row.AddMultipleOfCell(3, Rational(INT64_MAX), at(0));
+  oracle.cells[3] += Rational(INT64_MAX) * Rational(2);
+  EXPECT_FALSE(row.is_small());
+  ExpectRow(row, oracle);
+}
+
+TEST(SparseRowTest, CompareRatiosAcrossForms) {
+  const SparseRow third = MakeRow({{Rational(3)}, Rational(1)});
+  const SparseRow half = MakeRow({{Fraction(1, 2)}, Fraction(1, 4)});
+  const SparseRow big_half =
+      MakeRow({{Rational(INT64_MAX) * Rational(2)}, Rational(INT64_MAX)});
+  ASSERT_FALSE(big_half.is_small());
+  EXPECT_EQ(SparseRow::CompareRatios(third, 0, half, 0), -1);
+  EXPECT_EQ(SparseRow::CompareRatios(half, 0, third, 0), 1);
+  EXPECT_EQ(SparseRow::CompareRatios(half, 0, big_half, 0), 0);
+  EXPECT_EQ(SparseRow::CompareRatios(big_half, 0, third, 0), 1);
+}
+
+/// A random cell value: numerator bit widths sampled uniformly so that
+/// products straddle the int64 boundary, and small odd denominators.
+Rational RandomCell(Rng* rng) {
+  if (rng->NextChance(1, 3)) return Rational(0);
+  const int num_bits = rng->NextInt(0, 62);
+  int64_t num =
+      static_cast<int64_t>(rng->Next() & ((uint64_t{1} << num_bits) - 1));
+  if (rng->NextChance(1, 2)) num = -num;
+  const uint64_t den_mask = (uint64_t{1} << rng->NextInt(0, 12)) - 1;
+  const int64_t den = static_cast<int64_t>((rng->Next() & den_mask) | 1);
+  return Fraction(num, den);
+}
+
+RowOracle RandomRowOracle(Rng* rng, size_t width) {
+  RowOracle oracle;
+  for (size_t c = 0; c < width; ++c) oracle.cells.push_back(RandomCell(rng));
+  oracle.rhs = RandomCell(rng);
+  return oracle;
+}
+
+RowOracle NegatedRow(const RowOracle& oracle) {
+  RowOracle negated{{}, -oracle.rhs};
+  for (const Rational& cell : oracle.cells) negated.cells.push_back(-cell);
+  return negated;
+}
+
+TEST(SparseRowTest, RandomizedDifferentialVsRationalOracle) {
+  constexpr int kWidth = 6;
+  Rng rng(0x5ca1a9'2026'10'18ull);
+  const uint64_t promotions_before = SparseRow::promotions_this_thread();
+  RowOracle oracle = RandomRowOracle(&rng, kWidth);
+  SparseRow row = MakeRow(oracle);
+  SparseRow::Scratch scratch;
+  int demotions = 0;
+  int big_iterations = 0;
+  for (int iteration = 0; iteration < 10000; ++iteration) {
+    const bool was_big = !row.is_small();
+    const int col = rng.NextInt(0, kWidth - 1);
+    const int k = row.IndexOf(col);
+    switch (rng.NextChance(1, 16) ? 4 : rng.NextInt(0, 3)) {
+      case 0: {  // Eliminate col with a pivot row positive there.
+        RowOracle p = RandomRowOracle(&rng, kWidth);
+        if (k < 0 || p.cells[col].is_zero()) break;
+        if (p.cells[col].is_negative()) p = NegatedRow(p);
+        const SparseRow pivot = MakeRow(p);
+        row.Eliminate(static_cast<size_t>(k), pivot,
+                      static_cast<size_t>(pivot.IndexOf(col)), &scratch);
+        oracle = Eliminated(oracle, p, static_cast<size_t>(col));
+        break;
+      }
+      case 1: {
+        if (k < 0) break;
+        row.Normalize(static_cast<size_t>(k));
+        const Rational divisor = oracle.cells[col];
+        for (Rational& cell : oracle.cells) cell /= divisor;
+        oracle.rhs /= divisor;
+        break;
+      }
+      case 2:
+        row.Negate();
+        oracle = NegatedRow(oracle);
+        break;
+      case 4: {  // Against itself (made positive there) the row vanishes.
+        if (k < 0) break;
+        SparseRow pivot = row;
+        if (pivot.SignAt(static_cast<size_t>(k)) < 0) pivot.Negate();
+        row.Eliminate(static_cast<size_t>(k), pivot, static_cast<size_t>(k),
+                      &scratch);
+        oracle = {std::vector<Rational>(kWidth), Rational()};
+        break;
+      }
+      case 3: {  // cell col += factor * cell unit.
+        const int unit = rng.NextInt(0, kWidth - 1);
+        const int unit_k = row.IndexOf(unit);
+        const Rational factor = RandomCell(&rng);
+        if (unit_k < 0 || factor.is_zero()) break;
+        row.AddMultipleOfCell(col, factor, static_cast<size_t>(unit_k));
+        oracle.cells[col] += factor * oracle.cells[unit];
+        break;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectRow(row, oracle))
+        << "iteration " << iteration;
+    if (was_big && row.is_small()) ++demotions;
+    // Restart after a stretch in BigInt form, so magnitudes stay bounded,
+    // and once the row has vanished.
+    if ((!row.is_small() && ++big_iterations > 8) || row.empty()) {
+      big_iterations = 0;
+      oracle = RandomRowOracle(&rng, kWidth);
+      row = MakeRow(oracle);
+    }
+  }
+  // The sampled widths must have forced both promotion (words -> BigInt
+  // on overflow) and demotion (BigInt results that fit return to words).
+  EXPECT_GT(SparseRow::promotions_this_thread(), promotions_before);
+  EXPECT_GT(demotions, 0);
+}
+
+// --- Integer rows past int64 inside solves -------------------------------
+
+/// ±(2^40 + r) with r < 2^20: the product of two such coefficients is
+/// past 2^63, so eliminating with them overflows int64 words.
+int64_t NearTwoToThe40(Rng* rng) {
+  const int64_t magnitude = (int64_t{1} << 40) + rng->NextInt(0, 1 << 20);
+  return rng->NextChance(1, 2) ? -magnitude : magnitude;
+}
+
+/// A random system with coefficients near 2^40. When `feasible`, the
+/// right-hand sides leave a known nonnegative point feasible and every
+/// variable is bounded by 2^41, so maximizing is bounded; otherwise the
+/// right-hand sides are random and infeasible systems are common.
+LinearSystem WideSystem(Rng* rng, int n, int m, bool feasible) {
+  LinearSystem system;
+  std::vector<Rational> witness;
+  for (int j = 0; j < n; ++j) {
+    system.AddVariable();
+    witness.push_back(Rational(rng->NextInt(0, 3)));
+  }
+  for (int i = 0; i < m; ++i) {
+    LinearConstraint constraint;
+    Rational value;
+    for (int j = 0; j < n; ++j) {
+      if (rng->NextChance(1, 3)) continue;
+      const Rational coefficient(NearTwoToThe40(rng));
+      constraint.expr.Add(j, coefficient);
+      value += coefficient * witness[j];
+    }
+    constraint.relation = static_cast<Relation>(rng->NextInt(0, 2));
+    const Rational slack(std::abs(NearTwoToThe40(rng)));
+    if (!feasible) {
+      constraint.rhs = Rational(NearTwoToThe40(rng));
+    } else if (constraint.relation == Relation::kLessEqual) {
+      constraint.rhs = value + slack;
+    } else if (constraint.relation == Relation::kGreaterEqual) {
+      constraint.rhs = value - slack;
+    } else {
+      constraint.rhs = value;
+    }
+    system.AddConstraint(std::move(constraint));
+  }
+  for (int j = 0; feasible && j < n; ++j) {
+    system.AddConstraint(
+        Make({{j, 1}}, Relation::kLessEqual, int64_t{1} << 41));
+  }
+  return system;
+}
+
+LinearExpr SmallObjective(Rng* rng, int n) {
+  LinearExpr objective;
+  for (int j = 0; j < n; ++j) {
+    const int coefficient = rng->NextInt(-3, 3);
+    if (coefficient != 0) objective.Add(j, Rational(coefficient));
+  }
+  return objective;
+}
+
+TEST(SimplexProperty, PromotedRowsMatchDenseRational) {
+  Rng rng(2040);
+  uint64_t promotions = 0;
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    const int n = rng.NextInt(2, 4);
+    const LinearSystem system =
+        WideSystem(&rng, n, rng.NextInt(2, 5), rng.NextChance(1, 2));
+    const LinearExpr objective = SmallObjective(&rng, n);
+    promotions += ExpectMatchesDenseRational(system, objective)
+                      .scalar_promotions;
+  }
+  EXPECT_GT(promotions, 0u);
+}
+
+/// A solved snapshot of a wide system that holds a row in BigInt form
+/// whose basic variable is structural.
+struct PromotedBase {
+  LinearSystem system;
+  LinearExpr objective;
+  SimplexSnapshot snapshot;
+  size_t promoted = 0;
+};
+
+PromotedBase FindPromotedBase(Rng* rng) {
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    PromotedBase base;
+    const int n = rng->NextInt(2, 4);
+    base.system = WideSystem(rng, n, rng->NextInt(2, 5), /*feasible=*/true);
+    base.objective = SmallObjective(rng, n);
+    auto solved = SimplexSolver().SolveForSnapshot(base.system, base.objective,
+                                                   &base.snapshot);
+    CAR_CHECK(solved.ok());
+    CAR_CHECK(solved->outcome == LpOutcome::kOptimal);
+    for (size_t r = 0; r < base.snapshot.rows.size(); ++r) {
+      if (!base.snapshot.rows[r].is_small() && base.snapshot.basis[r] < n) {
+        base.promoted = r;
+        return base;
+      }
+    }
+  }
+  CAR_CHECK(false) << "no snapshot kept a row in BigInt form";
+  return {};
+}
+
+TEST(SimplexWarmStartProperty, PromotedRowsResumeLikeCold) {
+  Rng rng(4041);
+  for (int iteration = 0; iteration < 30; ++iteration) {
+    PromotedBase base = FindPromotedBase(&rng);
+    const SparseRow& promoted = base.snapshot.rows[base.promoted];
+    const size_t num_rows = base.system.constraints().size();
+    // A new column priced into the promoted row: it extends a constraint
+    // whose identity column that row holds.
+    size_t extended = num_rows;
+    for (size_t c = 0; c < num_rows && extended == num_rows; ++c) {
+      if (promoted.IndexOf(base.snapshot.init_basic[c]) >= 0) extended = c;
+    }
+    ASSERT_LT(extended, num_rows);
+    SimplexDelta delta;
+    delta.num_new_variables = 1;
+    const int y = base.system.num_variables();
+    delta.row_extensions.push_back(
+        {extended, y, Rational(NearTwoToThe40(&rng))});
+    // A new row over the promoted row's basic variable, so it is
+    // eliminated against that row.
+    LinearConstraint appended;
+    appended.expr.Add(base.snapshot.basis[base.promoted],
+                      Rational(NearTwoToThe40(&rng)));
+    appended.expr.Add(y, Rational(1));
+    appended.relation = Relation::kLessEqual;
+    appended.rhs = Rational(std::abs(NearTwoToThe40(&rng)));
+    delta.new_constraints.push_back(appended);
+    LinearExpr objective = base.objective;
+    objective.Add(y, Rational(1));
+
+    LinearSystem cold;
+    for (int j = 0; j <= y; ++j) cold.AddVariable();
+    for (size_t c = 0; c < num_rows; ++c) {
+      LinearConstraint constraint = base.system.constraints()[c];
+      if (c == extended) {
+        constraint.expr.Add(y, delta.row_extensions[0].coefficient);
+      }
+      cold.AddConstraint(constraint);
+    }
+    cold.AddConstraint(appended);
+
+    auto warm = SimplexSolver().ResumeMaximize(&base.snapshot, delta,
+                                               objective);
+    auto expected = SimplexSolver().Maximize(cold, objective);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(warm->outcome, expected->outcome) << cold.ToString();
+    if (warm->outcome == LpOutcome::kOptimal) {
+      EXPECT_EQ(warm->objective, expected->objective) << cold.ToString();
+      EXPECT_TRUE(cold.IsSatisfiedBy(warm->values)) << cold.ToString();
+      EXPECT_TRUE(ValidateSnapshotShape(base.snapshot, cold).ok());
+    }
+  }
+}
+
+TEST(SimplexWarmStartProperty, PromotedSnapshotRoundTripsByteExactly) {
+  Rng rng(4042);
+  int restored_big = 0;
+  for (int iteration = 0; iteration < 10; ++iteration) {
+    const PromotedBase base = FindPromotedBase(&rng);
+    // The Ψ section rides in a warm snapshot whose expansion holds only
+    // the empty compound, the least the codec accepts.
+    persist::WarmSnapshot warm;
+    warm.header.format_version = persist::kSnapshotFormatVersion;
+    warm.header.abi_fingerprint = persist::SnapshotAbiFingerprint();
+    warm.expansion.compound_classes.push_back(CompoundClass());
+    warm.has_psi = true;
+    warm.psi_snapshot = base.snapshot;
+    const std::string bytes = persist::EncodeSnapshot(warm);
+    auto decoded = persist::DecodeSnapshot(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(persist::EncodeSnapshot(decoded.value()), bytes);
+    const SimplexSnapshot& restored = decoded->psi_snapshot;
+    EXPECT_TRUE(ValidateSnapshotShape(restored, base.system).ok());
+    ASSERT_EQ(restored.rows.size(), base.snapshot.rows.size());
+    for (size_t r = 0; r < restored.rows.size(); ++r) {
+      EXPECT_EQ(RowValues(restored.rows[r]), RowValues(base.snapshot.rows[r]))
+          << "row " << r;
+    }
+    // The decoder rebuilds each row over the least common denominator
+    // of its cells, which can be smaller than the one the solve reached.
+    restored_big += restored.rows[base.promoted].is_small() ? 0 : 1;
+  }
+  EXPECT_GT(restored_big, 0);
+}
+
+TEST(SimplexProperty, PromotedPhaseOneRowsYieldValidCertificates) {
+  Rng rng(4043);
+  int certified = 0;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const LinearSystem system = WideSystem(&rng, rng.NextInt(2, 4),
+                                           rng.NextInt(2, 5),
+                                           /*feasible=*/false);
+    SimplexSolver::Options options;
+    options.extract_certificate = true;
+    auto result = SimplexSolver(options).CheckFeasible(system);
+    ASSERT_TRUE(result.ok());
+    // Infeasible solves end in phase 1, so a promotion there was a
+    // phase-1 row's.
+    if (result->outcome != LpOutcome::kInfeasible ||
+        result->scalar_promotions == 0) {
+      continue;
+    }
+    ++certified;
+    ASSERT_TRUE(result->infeasibility_certificate.has_value());
+    EXPECT_TRUE(ValidateInfeasibilityCertificate(
+        system, *result->infeasibility_certificate))
+        << system.ToString();
+  }
+  EXPECT_GT(certified, 0);
 }
 
 }  // namespace

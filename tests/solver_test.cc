@@ -254,7 +254,8 @@ TEST(SolverTest, GovernedSolveTracksLpProgress) {
 TEST(IncrementalPsiTest, PreparedSnapshotKeepsNoMergeHeadroom) {
   // Pivots leave each touched row with the capacity of its last merge
   // (|row| + |pivot row|). A prepared base is kept for the life of a
-  // session, so its rows are trimmed to their exact size.
+  // session, so its rows (right-hand sides included) are trimmed to
+  // their exact size.
   Schema schema = GenerateChainSchema(ChainParams{12, 2});
   auto expansion = BuildExpansion(schema, ExpansionOptions{});
   ASSERT_TRUE(expansion.ok()) << expansion.status();
@@ -263,11 +264,10 @@ TEST(IncrementalPsiTest, PreparedSnapshotKeepsNoMergeHeadroom) {
   ASSERT_GT(base->base_pivots, 0u);
   const SimplexSnapshot& snapshot = base->snapshot;
   for (size_t i = 0; i < snapshot.rows.size(); ++i) {
-    EXPECT_EQ(snapshot.rows[i].entries().capacity(), snapshot.rows[i].nnz())
+    EXPECT_EQ(snapshot.rows[i].capacity(), snapshot.rows[i].nnz())
         << "row " << i;
   }
   EXPECT_EQ(snapshot.rows.capacity(), snapshot.rows.size());
-  EXPECT_EQ(snapshot.rhs.capacity(), snapshot.rhs.size());
 }
 
 }  // namespace
