@@ -1,7 +1,9 @@
 #include "frontend/printer.h"
 
 #include <sstream>
+#include <utility>
 
+#include "base/hashing.h"
 #include "base/strings.h"
 
 namespace car {
@@ -107,6 +109,13 @@ std::string PrintSchema(const Schema& schema) {
     os << "endrelation\n\n";
   }
   return os.str();
+}
+
+uint64_t SchemaFingerprint(const Schema& schema, std::string* canonical) {
+  std::string text = PrintSchema(schema);
+  const uint64_t fingerprint = Fnv1a64(text);
+  if (canonical != nullptr) *canonical = std::move(text);
+  return fingerprint;
 }
 
 }  // namespace car

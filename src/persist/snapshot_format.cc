@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/byte_codec.h"
 #include "base/hashing.h"
 #include "base/strings.h"
 #include "math/rational.h"
@@ -28,25 +29,9 @@ constexpr uint32_t kMaxIndex = 1u << 30;
 /// relation's role count).
 constexpr uint32_t kMaxArity = 1u << 16;
 
-/// Little-endian flat-field writer (the serve/protocol idiom).
-class Writer {
+/// The snapshot's composite fields over the shared byte primitives.
+class Writer : public ByteWriter {
  public:
-  void PutU8(uint8_t value) { out_.push_back(static_cast<char>(value)); }
-  void PutBool(bool value) { PutU8(value ? 1 : 0); }
-  void PutU32(uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    }
-  }
-  void PutU64(uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    }
-  }
-  void PutString(std::string_view text) {
-    PutU32(static_cast<uint32_t>(text.size()));
-    out_.append(text);
-  }
   void PutBigInt(const BigInt& value) {
     // Sign byte: 0 = zero, 1 = positive, 2 = negative.
     PutU8(value.sign() == 0 ? 0 : (value.sign() > 0 ? 1 : 2));
@@ -72,58 +57,15 @@ class Writer {
     PutU64(value.min());
     PutU64(value.max());
   }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
 };
 
-/// Total little-endian reader over one payload: every Read* checks the
-/// remaining extent, and every count is bounded by the remaining bytes
-/// before any allocation.
-class Reader {
+/// Total reader of the snapshot's composite fields: every count is
+/// bounded by the remaining bytes before any allocation, and every index
+/// by the index cap.
+class Reader : public ByteReader {
  public:
-  explicit Reader(std::string_view data) : data_(data) {}
+  using ByteReader::ByteReader;
 
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Status ReadU8(uint8_t* value) {
-    if (remaining() < 1) return Truncated("u8");
-    *value = static_cast<uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-  Status ReadBool(bool* value) {
-    uint8_t byte = 0;
-    CAR_RETURN_IF_ERROR(ReadU8(&byte));
-    if (byte > 1) {
-      return ParseError(StrCat("bad bool byte ", static_cast<int>(byte)));
-    }
-    *value = byte == 1;
-    return Status::Ok();
-  }
-  Status ReadU32(uint32_t* value) {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t result = 0;
-    for (int i = 0; i < 4; ++i) {
-      result |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 4;
-    *value = result;
-    return Status::Ok();
-  }
-  Status ReadU64(uint64_t* value) {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t result = 0;
-    for (int i = 0; i < 8; ++i) {
-      result |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 8;
-    *value = result;
-    return Status::Ok();
-  }
   /// A u32 whose value must fit the int-typed indexes of the in-memory
   /// structures.
   Status ReadIndex(uint32_t* value, const char* what) {
@@ -143,17 +85,6 @@ class Reader {
       return ParseError(StrCat(what, " count ", *count, " exceeds ",
                                remaining(), " remaining bytes"));
     }
-    return Status::Ok();
-  }
-  Status ReadString(std::string* value) {
-    uint32_t length = 0;
-    CAR_RETURN_IF_ERROR(ReadU32(&length));
-    if (length > remaining()) {
-      return ParseError(StrCat("string length ", length, " exceeds ",
-                               remaining(), " remaining bytes"));
-    }
-    value->assign(data_.substr(pos_, length));
-    pos_ += length;
     return Status::Ok();
   }
   Status ReadBigInt(BigInt* value) {
@@ -213,29 +144,6 @@ class Reader {
                                              Cardinality::AtMost(max));
     return Status::Ok();
   }
-
-  /// Skips bytes the caller already consumed through a sub-view.
-  Status Skip(size_t count) {
-    if (count > remaining()) return Truncated("section payload");
-    pos_ += count;
-    return Status::Ok();
-  }
-
-  /// Trailing bytes are a framing bug, not ignorable padding.
-  Status ExpectConsumed() const {
-    if (remaining() != 0) {
-      return ParseError(StrCat(remaining(), " trailing byte(s)"));
-    }
-    return Status::Ok();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return ParseError(StrCat("truncated ", what));
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 // --- Section payload codecs -------------------------------------------------
@@ -743,9 +651,9 @@ Result<WarmSnapshot> DecodeSnapshot(std::string_view bytes) {
       return ParseError(StrCat("section length ", length, " exceeds ",
                                reader.remaining(), " remaining bytes"));
     }
-    std::string_view payload =
-        bytes.substr(bytes.size() - reader.remaining(),
-                     static_cast<size_t>(length));
+    std::string_view payload;
+    CAR_RETURN_IF_ERROR(
+        reader.ReadBytes(static_cast<size_t>(length), &payload));
     // Checksum first: a corrupt payload is reported as corruption, not
     // as whatever parse error the flipped bytes happen to produce.
     if (Crc32c(payload) != crc) {
@@ -767,7 +675,6 @@ Result<WarmSnapshot> DecodeSnapshot(std::string_view bytes) {
         memo_seen = true;
         break;
     }
-    CAR_RETURN_IF_ERROR(reader.Skip(static_cast<size_t>(length)));
   }
   CAR_RETURN_IF_ERROR(reader.ExpectConsumed());
   if (!expansion_seen || !memo_seen) {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/subschema.h"
-#include "base/hashing.h"
 #include "base/strings.h"
 #include "frontend/printer.h"
 #include "persist/snapshot_format.h"
@@ -16,12 +15,23 @@ namespace car {
 
 namespace {
 
+static_assert(alignof(uint64_t) >=
+              std::atomic_ref<uint64_t>::required_alignment);
+
+/// Adds to a session counter that probe workers bump concurrently.
+void AddRelaxed(uint64_t* counter, uint64_t value) {
+  std::atomic_ref<uint64_t>(*counter).fetch_add(value,
+                                                std::memory_order_relaxed);
+}
+
 /// Atomic max for the peak-tableau counters: probes run concurrently and
 /// each folds its own per-probe maximum into the session's.
-void MaxRelaxed(std::atomic<uint64_t>* counter, uint64_t value) {
-  uint64_t current = counter->load(std::memory_order_relaxed);
-  while (current < value && !counter->compare_exchange_weak(
-                                current, value, std::memory_order_relaxed)) {
+void MaxRelaxed(uint64_t* counter, uint64_t value) {
+  std::atomic_ref<uint64_t> peak(*counter);
+  uint64_t current = peak.load(std::memory_order_relaxed);
+  while (current < value &&
+         !peak.compare_exchange_weak(current, value,
+                                     std::memory_order_relaxed)) {
   }
 }
 
@@ -86,19 +96,7 @@ std::string IncrementalSession::CanonicalQueryKey(
 }
 
 Status IncrementalSession::EnsureBase() {
-  uint64_t fingerprint = Fnv1a64(PrintSchema(*schema_));
-  if (base_ready_ && fingerprint == fingerprint_) return Status::Ok();
-  // The schema changed under the session (or this is the first call):
-  // every memoized answer and the frozen base state are stale.
-  base_ready_ = false;
-  base_solved_.store(false, std::memory_order_release);
-  lazy_base_ready_.store(false, std::memory_order_release);
-  memo_.clear();
-  base_expansion_.reset();
-  analysis_.reset();
-  psi_base_.reset();
-  lazy_base_.reset();
-  schema_analysis_.reset();
+  if (base_ready_) return Status::Ok();
   if (options_.lazy_expansion) {
     // Lazy session: defer the (possibly exponential) full expansion and
     // snapshot solve to EnsureSolvedBase — a probe that the lazy engine
@@ -118,7 +116,6 @@ Status IncrementalSession::EnsureBase() {
     analyzer_options.lint = false;
     schema_analysis_ = AnalyzeSchema(*schema_, analyzer_options);
   }
-  fingerprint_ = fingerprint;
   base_ready_ = true;
   return Status::Ok();
 }
@@ -140,10 +137,9 @@ Status IncrementalSession::EnsureSolvedBaseLocked() {
   if (analysis.ok()) {
     CAR_ASSIGN_OR_RETURN(IncrementalPsiBase psi_base,
                          PrepareIncrementalPsi(expansion, options_.solver));
-    scalar_promotions_.fetch_add(psi_base.base_scalar_promotions,
-                                 std::memory_order_relaxed);
-    MaxRelaxed(&peak_tableau_nonzeros_, psi_base.base_tableau_nonzeros);
-    MaxRelaxed(&peak_tableau_cells_, psi_base.base_tableau_cells);
+    AddRelaxed(&stats_.scalar_promotions, psi_base.base_scalar_promotions);
+    MaxRelaxed(&stats_.peak_tableau_nonzeros, psi_base.base_tableau_nonzeros);
+    MaxRelaxed(&stats_.peak_tableau_cells, psi_base.base_tableau_cells);
     analysis_ = std::move(analysis.value());
     psi_base_ = std::move(psi_base);
   } else if (analysis.status().code() != StatusCode::kFailedPrecondition) {
@@ -152,7 +148,7 @@ Status IncrementalSession::EnsureSolvedBaseLocked() {
   // kFailedPrecondition (e.g. the exhaustive strategy): the session still
   // works, every probe just takes the from-scratch fallback.
   base_expansion_ = std::move(expansion);
-  ++base_builds_;
+  ++stats_.base_builds;
   // Publishes base_expansion_/analysis_/psi_base_ to racing readers in
   // EnsureSolvedBase's fast path.
   base_solved_.store(true, std::memory_order_release);
@@ -168,14 +164,13 @@ Status IncrementalSession::EnsureLazyBase() {
         LazyBase base,
         BuildLazySessionBase(*schema_, options_.expansion, options_.solver,
                              options_.lazy));
-    lazy_compounds_materialized_.fetch_add(base.ledger.size(),
-                                           std::memory_order_relaxed);
-    scalar_promotions_.fetch_add(base.psi->base_scalar_promotions,
-                                 std::memory_order_relaxed);
-    MaxRelaxed(&peak_tableau_nonzeros_, base.psi->base_tableau_nonzeros);
-    MaxRelaxed(&peak_tableau_cells_, base.psi->base_tableau_cells);
+    AddRelaxed(&stats_.lazy_compounds_materialized, base.ledger.size());
+    AddRelaxed(&stats_.scalar_promotions, base.psi->base_scalar_promotions);
+    MaxRelaxed(&stats_.peak_tableau_nonzeros,
+               base.psi->base_tableau_nonzeros);
+    MaxRelaxed(&stats_.peak_tableau_cells, base.psi->base_tableau_cells);
     lazy_base_ = std::move(base);
-    ++lazy_base_builds_;
+    ++stats_.lazy_base_builds;
   }
   // Publishes lazy_base_ to racing readers in the fast path above.
   lazy_base_ready_.store(true, std::memory_order_release);
@@ -184,7 +179,7 @@ Status IncrementalSession::EnsureLazyBase() {
 
 Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
                                                 ClassId aux) {
-  probes_.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(&stats_.probes, 1);
   // Tier-2: when the probe's dependency closure covers at most a quarter
   // of the schema, solve it exactly on the projected sub-schema instead
   // of delta-extending the full base. Sound and exact (subschema.h), so
@@ -201,7 +196,7 @@ Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
     std::optional<SubSchema> sub =
         BuildSubSchema(extended, schema_analysis_->depends_on, request);
     if (sub.has_value() && sub->schema.Validate().ok()) {
-      cluster_local_.fetch_add(1, std::memory_order_relaxed);
+      AddRelaxed(&stats_.cluster_local, 1);
       if (options_.exec != nullptr) {
         options_.exec->CountClusterLocalSolves(1);
       }
@@ -224,21 +219,15 @@ Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
         RunLazyExpansion(extended, {aux}, /*analysis=*/nullptr,
                          options_.expansion, options_.solver, options_.lazy,
                          lazy_base_.has_value() ? &*lazy_base_ : nullptr));
-    lazy_refinement_rounds_.fetch_add(lazy.refinement_rounds,
-                                      std::memory_order_relaxed);
-    lazy_compounds_materialized_.fetch_add(
-        lazy.compounds_materialized - lazy.base_compounds,
-        std::memory_order_relaxed);
-    warm_starts_.fetch_add(lazy.warm_starts, std::memory_order_relaxed);
-    lazy_blocking_constraints_.fetch_add(lazy.blocking_constraints,
-                                         std::memory_order_relaxed);
-    lazy_certificate_closures_.fetch_add(lazy.certificate_closures,
-                                         std::memory_order_relaxed);
-    if (lazy.spurious_witness) {
-      spurious_witnesses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    AddRelaxed(&stats_.lazy_refinement_rounds, lazy.refinement_rounds);
+    AddRelaxed(&stats_.lazy_compounds_materialized,
+               lazy.compounds_materialized - lazy.base_compounds);
+    AddRelaxed(&stats_.warm_starts, lazy.warm_starts);
+    AddRelaxed(&stats_.lazy_blocking_constraints, lazy.blocking_constraints);
+    AddRelaxed(&stats_.lazy_certificate_closures, lazy.certificate_closures);
+    if (lazy.spurious_witness) AddRelaxed(&stats_.spurious_witnesses, 1);
     if (lazy.conclusive) {
-      lazy_hits_.fetch_add(1, std::memory_order_relaxed);
+      AddRelaxed(&stats_.lazy_hits, 1);
       return static_cast<bool>(lazy.class_satisfiable[aux]);
     }
     // Inconclusive: fall through to the warm-start ladder, which needs
@@ -249,19 +238,17 @@ Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
     Result<ExpansionDelta> delta = ExtendExpansionWithAuxClass(
         extended, aux, *base_expansion_, *analysis_, options_.expansion);
     if (delta.ok()) {
-      clusters_reused_.fetch_add(delta.value().clusters_reused,
-                                 std::memory_order_relaxed);
-      clusters_reenumerated_.fetch_add(delta.value().clusters_reenumerated,
-                                       std::memory_order_relaxed);
+      AddRelaxed(&stats_.clusters_reused, delta.value().clusters_reused);
+      AddRelaxed(&stats_.clusters_reenumerated,
+                 delta.value().clusters_reenumerated);
       CAR_ASSIGN_OR_RETURN(
           IncrementalProbeResult probe,
           SolvePsiIncremental(*base_expansion_, *psi_base_, delta.value(),
                               aux, options_.solver));
-      warm_starts_.fetch_add(probe.lp_solves, std::memory_order_relaxed);
-      scalar_promotions_.fetch_add(probe.scalar_promotions,
-                                   std::memory_order_relaxed);
-      MaxRelaxed(&peak_tableau_nonzeros_, probe.peak_tableau_nonzeros);
-      MaxRelaxed(&peak_tableau_cells_, probe.peak_tableau_cells);
+      AddRelaxed(&stats_.warm_starts, probe.lp_solves);
+      AddRelaxed(&stats_.scalar_promotions, probe.scalar_promotions);
+      MaxRelaxed(&stats_.peak_tableau_nonzeros, probe.peak_tableau_nonzeros);
+      MaxRelaxed(&stats_.peak_tableau_cells, probe.peak_tableau_cells);
       return probe.aux_satisfiable;
     }
     // Governor trips and genuine failures propagate; only the explicit
@@ -270,7 +257,7 @@ Result<bool> IncrementalSession::AuxSatisfiable(const Schema& extended,
       return delta.status();
     }
   }
-  fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(&stats_.fallbacks, 1);
   CAR_ASSIGN_OR_RETURN(Expansion expansion,
                        BuildExpansion(extended, options_.expansion));
   CAR_ASSIGN_OR_RETURN(PsiSolution solution,
@@ -310,7 +297,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     if (IsTriviallyImplied(queries[i])) {
       slots[i].resolved = true;
       slots[i].answer = true;
-      ++trivial_;
+      ++stats_.trivial;
       if (exec != nullptr) exec->CountQueries(1);
       continue;
     }
@@ -318,7 +305,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
     if (auto hit = memo_.find(key); hit != memo_.end()) {
       slots[i].resolved = true;
       slots[i].answer = hit->second;
-      ++memo_hits_;
+      ++stats_.memo_hits;
       if (exec != nullptr) {
         exec->CountMemoHits(1);
         exec->CountQueries(1);
@@ -333,7 +320,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
               *schema_, *schema_analysis_, queries[i])) {
         slots[i].resolved = true;
         slots[i].answer = *certified;
-        ++closure_hits_;
+        ++stats_.closure_hits;
         memo_.emplace(std::move(key), *certified);
         if (exec != nullptr) {
           exec->CountPrefilterHits(1);
@@ -342,7 +329,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
         continue;
       }
     }
-    ++memo_misses_;
+    ++stats_.memo_misses;
     if (exec != nullptr) exec->CountMemoMisses(1);
     auto [entry, inserted] = key_to_unique.emplace(
         std::move(key), static_cast<int>(unique.size()));
@@ -373,7 +360,7 @@ Result<std::vector<bool>> IncrementalSession::RunImplicationBatch(
   for (size_t u = 0; u < unique.size(); ++u) {
     memo_.emplace(unique_keys[u], decided[u]);
   }
-  queries_ += queries.size();
+  stats_.queries += queries.size();
   std::vector<bool> answers;
   answers.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -458,7 +445,7 @@ Result<std::string> IncrementalSession::Serialize() {
   persist::WarmSnapshot snapshot;
   snapshot.header.format_version = persist::kSnapshotFormatVersion;
   snapshot.header.abi_fingerprint = persist::SnapshotAbiFingerprint();
-  snapshot.header.schema_fingerprint = fingerprint_;
+  snapshot.header.schema_fingerprint = SchemaFingerprint(*schema_);
   snapshot.header.num_classes =
       static_cast<uint32_t>(schema_->num_classes());
   snapshot.header.num_attributes =
@@ -481,11 +468,10 @@ Result<std::string> IncrementalSession::Serialize() {
 Status IncrementalSession::Deserialize(std::string_view bytes) {
   CAR_ASSIGN_OR_RETURN(persist::WarmSnapshot snapshot,
                        persist::DecodeSnapshot(bytes));
-  // The snapshot must have been built from exactly the live schema: the
-  // fingerprint covers the canonical printed form, the extents guard
+  // The snapshot must have been built from exactly the borrowed schema:
+  // the fingerprint covers the canonical printed form, the extents guard
   // the id spaces every section was validated against.
-  const uint64_t fingerprint = Fnv1a64(PrintSchema(*schema_));
-  if (snapshot.header.schema_fingerprint != fingerprint) {
+  if (snapshot.header.schema_fingerprint != SchemaFingerprint(*schema_)) {
     return FailedPrecondition(
         "snapshot was built for a different schema (fingerprint mismatch)");
   }
@@ -549,59 +535,20 @@ Status IncrementalSession::Deserialize(std::string_view bytes) {
     // Fold the frozen base-solve costs into the session counters exactly
     // as EnsureBase would after solving, so stats and memory estimates
     // match a session that paid the solve itself.
-    scalar_promotions_.fetch_add(psi_base.base_scalar_promotions,
-                                 std::memory_order_relaxed);
-    MaxRelaxed(&peak_tableau_nonzeros_, psi_base.base_tableau_nonzeros);
-    MaxRelaxed(&peak_tableau_cells_, psi_base.base_tableau_cells);
+    AddRelaxed(&stats_.scalar_promotions, psi_base.base_scalar_promotions);
+    MaxRelaxed(&stats_.peak_tableau_nonzeros, psi_base.base_tableau_nonzeros);
+    MaxRelaxed(&stats_.peak_tableau_cells, psi_base.base_tableau_cells);
     analysis_ = std::move(analysis.value());
     psi_base_ = std::move(psi_base);
   }
   base_expansion_ = std::move(snapshot.expansion);
   memo_ = std::move(snapshot.memo);
-  fingerprint_ = fingerprint;
   base_ready_ = true;
   // A restored snapshot IS the full warm base, so even a lazy session is
   // immediately snapshot-eligible and delta-capable again.
   base_solved_.store(true, std::memory_order_release);
-  ++base_restores_;
+  ++stats_.base_restores;
   return Status::Ok();
-}
-
-IncrementalStats IncrementalSession::stats() const {
-  IncrementalStats stats;
-  stats.queries = queries_;
-  stats.trivial = trivial_;
-  stats.closure_hits = closure_hits_;
-  stats.cluster_local = cluster_local_.load(std::memory_order_relaxed);
-  stats.memo_hits = memo_hits_;
-  stats.memo_misses = memo_misses_;
-  stats.base_builds = base_builds_;
-  stats.base_restores = base_restores_;
-  stats.lazy_base_builds = lazy_base_builds_;
-  stats.probes = probes_.load(std::memory_order_relaxed);
-  stats.warm_starts = warm_starts_.load(std::memory_order_relaxed);
-  stats.fallbacks = fallbacks_.load(std::memory_order_relaxed);
-  stats.lazy_hits = lazy_hits_.load(std::memory_order_relaxed);
-  stats.lazy_refinement_rounds =
-      lazy_refinement_rounds_.load(std::memory_order_relaxed);
-  stats.lazy_compounds_materialized =
-      lazy_compounds_materialized_.load(std::memory_order_relaxed);
-  stats.lazy_blocking_constraints =
-      lazy_blocking_constraints_.load(std::memory_order_relaxed);
-  stats.lazy_certificate_closures =
-      lazy_certificate_closures_.load(std::memory_order_relaxed);
-  stats.spurious_witnesses =
-      spurious_witnesses_.load(std::memory_order_relaxed);
-  stats.clusters_reused = clusters_reused_.load(std::memory_order_relaxed);
-  stats.clusters_reenumerated =
-      clusters_reenumerated_.load(std::memory_order_relaxed);
-  stats.scalar_promotions =
-      scalar_promotions_.load(std::memory_order_relaxed);
-  stats.peak_tableau_nonzeros =
-      peak_tableau_nonzeros_.load(std::memory_order_relaxed);
-  stats.peak_tableau_cells =
-      peak_tableau_cells_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace car

@@ -47,9 +47,8 @@ struct IncrementalStats {
   /// Cluster reuse across all delta extensions.
   uint64_t clusters_reused = 0;
   uint64_t clusters_reenumerated = 0;
-  /// Full base expansions + snapshot solves performed: 1, plus one per
-  /// observed schema-fingerprint change (lazy sessions: only once a probe
-  /// needed the delta path).
+  /// Full base expansions + snapshot solves performed: at most 1 (lazy
+  /// sessions: only once a probe needed the delta path).
   uint64_t base_builds = 0;
   /// Base states restored from a persisted snapshot (Deserialize)
   /// instead of solved. Disjoint from base_builds: a restored base pays
@@ -60,8 +59,8 @@ struct IncrementalStats {
   /// full base expansion.
   uint64_t lazy_hits = 0;
   /// Session-level partial bases built for the lazy probes (lazy
-  /// sessions, pruned strategy): 1 on the first lazy probe, plus one per
-  /// observed schema-fingerprint change. Disjoint from base_builds.
+  /// sessions, pruned strategy): 1 on the first lazy probe. Disjoint from
+  /// base_builds.
   uint64_t lazy_base_builds = 0;
   /// Refinement rounds across all lazy probes, and compound classes
   /// materialized by the partial bases plus what each probe added beyond
@@ -91,7 +90,7 @@ struct IncrementalStats {
   bool operator==(const IncrementalStats&) const = default;
 };
 
-/// An incremental implication-query session over one (mutable) schema.
+/// An incremental implication-query session over one fixed schema.
 ///
 /// The from-scratch batch API re-expands and re-solves the whole schema
 /// once per query. This session instead pays one base solve — expansion,
@@ -117,10 +116,10 @@ struct IncrementalStats {
 /// cooperatively in every new code path and abort with the same
 /// first-trip LimitReport discipline as the from-scratch engine.
 ///
-/// The schema is borrowed and may be mutated between calls: every batch
-/// starts by fingerprinting the schema (FNV-1a of its canonical printed
-/// form) and rebuilds the base state + clears the memo when the
-/// fingerprint changed.
+/// The schema is borrowed and must not change while the session lives:
+/// the base state and the memo are built for it once and never
+/// re-checked. A changed schema gets a new session (the serving cache
+/// builds one whenever a tenant's canonical text changes).
 ///
 /// Thread-safety: one session per thread of control. A single call may
 /// use many worker threads internally (options.num_threads), but
@@ -141,8 +140,9 @@ class IncrementalSession {
   /// The batch of one (still memoized across calls).
   Result<bool> RunImplicationQuery(const ImplicationQuery& query);
 
-  /// Snapshot of the session statistics.
-  IncrementalStats stats() const;
+  /// The session statistics. Read between calls only (the session's
+  /// single-caller contract): probe workers bump them during a batch.
+  const IncrementalStats& stats() const { return stats_; }
 
   // --- Serving lifecycle hooks -------------------------------------------
   // A long-lived server multiplexes many requests over one warm session;
@@ -175,7 +175,7 @@ class IncrementalSession {
   Result<std::string> Serialize();
 
   /// Restores the warm state from Serialize() output. The snapshot's
-  /// schema fingerprint and extents must match the LIVE schema
+  /// SchemaFingerprint and extents must match the borrowed schema
   /// (kFailedPrecondition otherwise — the caller falls back to a cold
   /// build), the Ψ snapshot must pass ValidateSnapshotShape against the
   /// freshly rebuilt base system, and the snapshot's Ψ presence must
@@ -200,11 +200,11 @@ class IncrementalSession {
   static std::string CanonicalQueryKey(const ImplicationQuery& query);
 
  private:
-  /// Fingerprints the schema; (re)builds base expansion, cluster
-  /// analysis and Ψ snapshot and clears the memo when it changed. Under
-  /// options.lazy_expansion only the cheap part runs here (validation,
-  /// static analysis, memo invalidation); the heavy base build is
-  /// deferred to EnsureSolvedBase.
+  /// Builds base expansion, cluster analysis and Ψ snapshot on the first
+  /// call (and again after a failed one); a no-op once built. Under
+  /// options.lazy_expansion only the cheap part runs here (validation and
+  /// static analysis); the heavy base build is deferred to
+  /// EnsureSolvedBase.
   Status EnsureBase();
 
   /// Heavy half of the base build: full expansion, cluster analysis and
@@ -234,14 +234,13 @@ class IncrementalSession {
   const Schema* schema_;
   ReasonerOptions options_;
 
-  // Base state, valid iff base_ready_; rebuilt on fingerprint change.
-  // base_solved_ marks the heavy half (expansion + Ψ snapshot) done; an
-  // eager EnsureBase sets both, a lazy one sets only base_ready_ and
-  // leaves the heavy half to EnsureSolvedBase.
+  // Base state, valid iff base_ready_. base_solved_ marks the heavy half
+  // (expansion + Ψ snapshot) done; an eager EnsureBase sets both, a lazy
+  // one sets only base_ready_ and leaves the heavy half to
+  // EnsureSolvedBase.
   bool base_ready_ = false;
   std::atomic<bool> base_solved_{false};
   std::mutex base_build_mutex_;
-  uint64_t fingerprint_ = 0;
   std::optional<Expansion> base_expansion_;
   /// Set iff the incremental path is available for this base (pruned
   /// strategy, analyzable clusters); otherwise every probe falls back.
@@ -249,47 +248,24 @@ class IncrementalSession {
   std::optional<IncrementalPsiBase> psi_base_;
   /// The lazy probes' partial base, valid iff lazy_base_ready_ (which a
   /// non-pruned strategy also sets, leaving it empty: the lazy engine is
-  /// inconclusive there anyway). Rebuilt on fingerprint change.
+  /// inconclusive there anyway).
   std::atomic<bool> lazy_base_ready_{false};
   std::optional<LazyBase> lazy_base_;
   /// Static analysis of the base schema backing the prefilter tiers
-  /// (options.prefilter); rebuilt with the base on fingerprint change.
+  /// (options.prefilter); built with the base.
   std::optional<SchemaAnalysis> schema_analysis_;
 
   /// Canonical query key -> answer. Only successful answers are
   /// memoized — errors and governor trips are always recomputed.
   std::map<std::string, bool> memo_;
 
-  // Statistics. Atomics because probe counters are bumped from the
-  // parallel batch workers.
-  uint64_t queries_ = 0;
-  uint64_t trivial_ = 0;
-  uint64_t closure_hits_ = 0;
-  uint64_t memo_hits_ = 0;
-  uint64_t memo_misses_ = 0;
-  // base_builds_ is bumped under base_build_mutex_ when the heavy build
-  // runs from a probe worker (lazy sessions), serially otherwise.
-  uint64_t base_builds_ = 0;
-  uint64_t base_restores_ = 0;
-  // Bumped under base_build_mutex_, like base_builds_.
-  uint64_t lazy_base_builds_ = 0;
-  std::atomic<uint64_t> lazy_hits_{0};
-  std::atomic<uint64_t> lazy_refinement_rounds_{0};
-  std::atomic<uint64_t> lazy_compounds_materialized_{0};
-  std::atomic<uint64_t> lazy_blocking_constraints_{0};
-  std::atomic<uint64_t> lazy_certificate_closures_{0};
-  std::atomic<uint64_t> spurious_witnesses_{0};
-  std::atomic<uint64_t> cluster_local_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> warm_starts_{0};
-  std::atomic<uint64_t> fallbacks_{0};
-  std::atomic<uint64_t> clusters_reused_{0};
-  std::atomic<uint64_t> clusters_reenumerated_{0};
-  std::atomic<uint64_t> scalar_promotions_{0};
-  // Maxima (RecordTableauFill-style), not sums: warm-started probes share
-  // the base tableau, so summing would count it once per probe.
-  std::atomic<uint64_t> peak_tableau_nonzeros_{0};
-  std::atomic<uint64_t> peak_tableau_cells_{0};
+  // Statistics. Probe workers bump theirs through std::atomic_ref
+  // (incremental.cc); base_builds and lazy_base_builds are bumped under
+  // base_build_mutex_ when a probe worker runs the build, and the rest
+  // serially. The peak-tableau fields are maxima, not sums: warm-started
+  // probes share the base tableau, so summing would count it once per
+  // probe.
+  IncrementalStats stats_;
 };
 
 }  // namespace car

@@ -72,9 +72,9 @@ struct LazyOutcome {
 /// materialized compounds, their assembled partial expansion, and the Ψ
 /// base solved over it. Read-only once built, so concurrent runs share
 /// one. A run either seeds its own (the compounds of its first round) or
-/// is handed one; an IncrementalSession builds one per schema
-/// fingerprint (BuildLazySessionBase) and hands it to every lazy probe,
-/// so each probe solves only the compounds it adds beyond it.
+/// is handed one; an IncrementalSession builds one on its first lazy
+/// probe (BuildLazySessionBase) and hands it to every lazy probe, so
+/// each probe solves only the compounds it adds beyond it.
 struct LazyBase {
   RefinementLedger ledger;
   /// AssembleExpansion over ledger's compounds, for the schema they were

@@ -2,10 +2,8 @@
 
 #include <map>
 
-#include "base/hashing.h"
 #include "base/strings.h"
 #include "base/thread_pool.h"
-#include "frontend/printer.h"
 #include "math/simplex.h"
 #include "reasoner/incremental.h"
 #include "solver/psi.h"
@@ -259,22 +257,13 @@ Reasoner::Reasoner(const Schema* schema, ReasonerOptions options)
 Reasoner::~Reasoner() = default;
 
 Status Reasoner::Prepare() {
-  // The schema is borrowed and may be mutated between queries; the cached
-  // expansion/solution are only valid for the fingerprint they were
-  // computed under.
-  uint64_t fingerprint = Fnv1a64(PrintSchema(*schema_));
-  if (solution_.has_value() && fingerprint == schema_fingerprint_) {
-    return Status::Ok();
-  }
-  expansion_.reset();
-  solution_.reset();
+  if (solution_.has_value()) return Status::Ok();
   CAR_ASSIGN_OR_RETURN(Expansion expansion,
                        BuildExpansion(*schema_, options_.expansion));
   CAR_ASSIGN_OR_RETURN(PsiSolution solution,
                        SolvePsi(expansion, options_.solver));
   expansion_ = std::move(expansion);
   solution_ = std::move(solution);
-  schema_fingerprint_ = fingerprint;
   return Status::Ok();
 }
 

@@ -34,7 +34,7 @@ struct ReasonerOptions {
   /// runs keep the historical error-status behavior.
   ExecContext* exec = nullptr;
   /// Routes implication queries through an IncrementalSession: one base
-  /// expansion + Ψ solve per schema fingerprint, then expansion deltas,
+  /// expansion + Ψ solve per reasoner, then expansion deltas,
   /// warm-started LP re-solves and a canonical-form memo per query.
   /// Answers are bit-identical to the from-scratch path; only the cost
   /// differs.
@@ -198,6 +198,9 @@ void FanOutToStages(ReasonerOptions* options);
 /// from-scratch oracle — the lazy engine, then a full expansion and Ψ
 /// solve of the private extended schema — the reference every other
 /// engine is checked against; the borrowed schema is never mutated.
+/// Nor may the caller change it while the reasoner lives: the cached
+/// state is built for it once and never re-checked, so a changed schema
+/// gets a new Reasoner.
 class IncrementalSession;
 
 class Reasoner {
@@ -296,8 +299,8 @@ class Reasoner {
                                                uint64_t search_limit = 64);
 
  private:
-  /// Ensures the cached expansion/solution exist and match the schema's
-  /// current fingerprint; a mutated schema invalidates both.
+  /// Computes the cached expansion/solution on first use (and again
+  /// after a failed attempt).
   Status Prepare();
 
   /// Lazily constructs the incremental session (options.incremental).
@@ -312,7 +315,6 @@ class Reasoner {
 
   const Schema* schema_;
   ReasonerOptions options_;
-  uint64_t schema_fingerprint_ = 0;
   std::optional<Expansion> expansion_;
   std::optional<PsiSolution> solution_;
   std::unique_ptr<IncrementalSession> incremental_;

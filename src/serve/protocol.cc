@@ -1,8 +1,8 @@
 #include "serve/protocol.h"
 
-#include <cstring>
 #include <utility>
 
+#include "base/byte_codec.h"
 #include "base/strings.h"
 
 namespace car {
@@ -31,25 +31,9 @@ enum class ResponseTag : uint8_t {
   kShuttingDown = 7,
 };
 
-/// Little-endian flat-field writer.
-class Writer {
+/// The wire's composite fields over the shared byte primitives.
+class Writer : public ByteWriter {
  public:
-  void PutU8(uint8_t value) { out_.push_back(static_cast<char>(value)); }
-  void PutBool(bool value) { PutU8(value ? 1 : 0); }
-  void PutU32(uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    }
-  }
-  void PutU64(uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-    }
-  }
-  void PutString(std::string_view text) {
-    PutU32(static_cast<uint32_t>(text.size()));
-    out_.append(text);
-  }
   void PutStringList(const std::vector<std::string>& list) {
     PutU32(static_cast<uint32_t>(list.size()));
     for (const std::string& entry : list) PutString(entry);
@@ -72,72 +56,15 @@ class Writer {
     PutU64(stats.warm_starts);
     PutU64(stats.fallbacks);
   }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
 };
 
-/// Total little-endian reader over one payload. Every Read* checks the
-/// remaining extent; string/list lengths are additionally bounded by the
-/// remaining bytes before any allocation, so a hostile length prefix
-/// cannot balloon memory past the (already capped) payload size.
-class Reader {
+/// Total reader of the wire's composite fields: list counts are bounded
+/// by the remaining bytes before any allocation, and every enum byte is
+/// range-checked.
+class Reader : public ByteReader {
  public:
-  explicit Reader(std::string_view data) : data_(data) {}
+  using ByteReader::ByteReader;
 
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Status ReadU8(uint8_t* value) {
-    if (remaining() < 1) return Truncated("u8");
-    *value = static_cast<uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-  Status ReadBool(bool* value) {
-    uint8_t byte = 0;
-    CAR_RETURN_IF_ERROR(ReadU8(&byte));
-    if (byte > 1) {
-      return ParseError(StrCat("bad bool byte ", static_cast<int>(byte)));
-    }
-    *value = byte == 1;
-    return Status::Ok();
-  }
-  Status ReadU32(uint32_t* value) {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t result = 0;
-    for (int i = 0; i < 4; ++i) {
-      result |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 4;
-    *value = result;
-    return Status::Ok();
-  }
-  Status ReadU64(uint64_t* value) {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t result = 0;
-    for (int i = 0; i < 8; ++i) {
-      result |= static_cast<uint64_t>(
-                    static_cast<uint8_t>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 8;
-    *value = result;
-    return Status::Ok();
-  }
-  Status ReadString(std::string* value) {
-    uint32_t length = 0;
-    CAR_RETURN_IF_ERROR(ReadU32(&length));
-    if (length > remaining()) {
-      return ParseError(StrCat("string length ", length, " exceeds ",
-                               remaining(), " remaining bytes"));
-    }
-    value->assign(data_.substr(pos_, length));
-    pos_ += length;
-    return Status::Ok();
-  }
   Status ReadStringList(std::vector<std::string>* list) {
     uint32_t count = 0;
     CAR_RETURN_IF_ERROR(ReadU32(&count));
@@ -209,23 +136,6 @@ class Reader {
     *code = static_cast<StatusCode>(byte);
     return Status::Ok();
   }
-
-  /// Every decoder ends with this: trailing bytes are a framing bug on
-  /// the peer's side, not silently ignorable padding.
-  Status ExpectConsumed() const {
-    if (remaining() != 0) {
-      return ParseError(StrCat(remaining(), " trailing byte(s)"));
-    }
-    return Status::Ok();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return ParseError(StrCat("truncated payload reading ", what));
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

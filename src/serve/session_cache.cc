@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "base/hashing.h"
 #include "frontend/parser.h"
 #include "frontend/printer.h"
 
@@ -18,8 +17,8 @@ Result<SessionEntry*> SessionCache::Open(const std::string& name,
                                          std::string_view schema_text,
                                          bool* warm) {
   CAR_ASSIGN_OR_RETURN(Schema parsed, ParseSchema(schema_text));
-  const std::string canonical = PrintSchema(parsed);
-  const uint64_t fingerprint = Fnv1a64(canonical);
+  std::string canonical;
+  const uint64_t fingerprint = SchemaFingerprint(parsed, &canonical);
   ++stats_.opens;
 
   auto it = entries_.find(name);

@@ -89,11 +89,11 @@ struct SessionEntry {
 /// name, with LRU + memory-budget eviction. Not thread-safe; the server
 /// serializes access (see serve/server.h).
 ///
-/// Warm/cold semantics: Open parses the text, fingerprints its canonical
-/// form (FNV-1a of PrintSchema — the same fingerprint the session itself
-/// uses to detect mutation), and keeps the resident session when the
-/// fingerprint is unchanged. Anything else builds a cold session. An
-/// evicted tenant is simply gone: the next Open rebuilds it cold and
+/// Warm/cold semantics: Open parses the text, takes its SchemaFingerprint
+/// (the key snapshot headers carry too), and keeps the resident session
+/// when the fingerprint is unchanged. Anything else builds a cold session
+/// over a new schema: a session's borrowed schema never changes under it.
+/// An evicted tenant is simply gone: the next Open rebuilds it cold and
 /// answers identically (the warm state is a pure cache, never semantics).
 class SessionCache {
  public:

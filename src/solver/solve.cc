@@ -147,6 +147,8 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
   // Integer certificate: scale the final rational solution by the least
   // common multiple of all denominators. Ψ_S is homogeneous, so the scaled
   // vector is still a solution, and every active Var(C̄) >= 1 stays >= 1.
+  // Whole-number values add nothing to the LCM and scale by one
+  // multiplication.
   //
   // LCM is associative and commutative, so the chunked parallel reduction
   // yields the same value as the serial sweep regardless of merge order.
@@ -171,7 +173,9 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
                 BigInt local(1);
                 for (size_t i = begin; i < end; ++i) {
                   int variable = all_variables[i];
-                  if (variable < 0) continue;
+                  if (variable < 0 || final_values[variable].is_integer()) {
+                    continue;
+                  }
                   local = BigInt::Lcm(local,
                                       final_values[variable].denominator());
                 }
@@ -184,9 +188,13 @@ Result<PsiSolution> SolvePsi(const Expansion& expansion,
 
   auto scaled = [&lcm, &final_values](int variable) {
     if (variable < 0) return BigInt(0);
-    Rational value = final_values[variable] * Rational(lcm);
-    CAR_CHECK(value.is_integer());
-    return value.numerator();
+    const Rational& value = final_values[variable];
+    if (value.is_integer()) return value.numerator() * lcm;
+    BigInt quotient;
+    BigInt remainder;
+    BigInt::DivMod(lcm, value.denominator(), &quotient, &remainder);
+    CAR_CHECK(remainder.is_zero());
+    return value.numerator() * quotient;
   };
   // Scaling is an independent exact multiplication per unknown; each
   // parallel iteration writes its own preallocated slot.

@@ -81,10 +81,6 @@ std::vector<std::pair<std::string, Schema>> TestSchemas() {
   return schemas;
 }
 
-uint64_t SchemaFingerprint(const Schema& schema) {
-  return Fnv1a64(PrintSchema(schema));
-}
-
 /// Builds a warm session (base + memo) over the schema and returns its
 /// snapshot bytes plus the reference answers.
 std::string WarmSnapshotBytes(const Schema& schema, int num_threads,

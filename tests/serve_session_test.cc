@@ -287,6 +287,35 @@ TEST(ServeSessionCache, WarmOpenKeepsSessionAndMutateRebuildsCold) {
   EXPECT_EQ(answers->answers, OfflineAnswers(*schema2, lines));
 }
 
+TEST(SchemaFingerprintTest, CanonicalAndEqualToTheServedFingerprint) {
+  const Schema schema = testing_schemas::Figure1();
+  const std::string text = PrintSchema(schema);
+  std::string canonical;
+  const uint64_t fingerprint = SchemaFingerprint(schema, &canonical);
+  EXPECT_EQ(canonical, text);
+
+  // Print∘Parse and comment-only edits keep the key.
+  auto reparsed = ParseSchema(text);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(SchemaFingerprint(*reparsed), fingerprint);
+  const std::string commented = "// tenant t\n" + text + "// end\n";
+  auto recommented = ParseSchema(commented);
+  ASSERT_TRUE(recommented.ok()) << recommented.status();
+  EXPECT_EQ(SchemaFingerprint(*recommented), fingerprint);
+
+  // A new class moves it.
+  Schema extended = schema;
+  extended.InternClass("Added");
+  EXPECT_NE(SchemaFingerprint(extended), fingerprint);
+
+  // The server reports the same key for the same text.
+  Server server(ServerOptions{});
+  Response opened = Open(&server, "t", commented);
+  auto* response = std::get_if<OpenedResponse>(&opened);
+  ASSERT_NE(response, nullptr);
+  EXPECT_EQ(response->fingerprint, fingerprint);
+}
+
 TEST(ServeAdmission, MalformedQueriesAreStructuredErrors) {
   Server server(ServerOptions{});
   Response opened =

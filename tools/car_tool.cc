@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "base/hashing.h"
 #include "core/car.h"
 #include "persist/snapshot_format.h"
 #include "persist/snapshot_store.h"
@@ -543,7 +542,7 @@ int SnapshotSave(Schema& schema, const std::string& dir) {
             << g_tenant << "' to " << dir << "/"
             << persist::SnapshotStore::FileName(g_tenant)
             << " (schema fingerprint " << std::hex
-            << Fnv1a64(PrintSchema(schema)) << std::dec << ")\n";
+            << SchemaFingerprint(schema) << std::dec << ")\n";
   return kExitSat;
 }
 
@@ -556,7 +555,7 @@ int SnapshotLoad(Schema& schema, const std::string& dir) {
     std::cerr << "snapshot store: " << store.status() << "\n";
     return kExitError;
   }
-  const uint64_t fingerprint = Fnv1a64(PrintSchema(schema));
+  const uint64_t fingerprint = SchemaFingerprint(schema);
   auto bytes = (*store)->Load(g_tenant, fingerprint);
   if (!bytes.ok()) {
     std::cerr << "snapshot load: " << bytes.status() << "\n";
@@ -627,7 +626,7 @@ int SnapshotVerify(Schema& schema, const std::string& dir) {
               << "\n";
     return kExitError;
   }
-  if (header->schema_fingerprint != Fnv1a64(PrintSchema(schema))) {
+  if (header->schema_fingerprint != SchemaFingerprint(schema)) {
     std::cout << "STALE: snapshot was built for a different schema\n";
     return kExitError;
   }
