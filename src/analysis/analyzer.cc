@@ -471,8 +471,7 @@ size_t SchemaAnalysis::num_unsat_classes() const {
 
 SchemaAnalysis AnalyzeSchema(const Schema& schema,
                              const AnalyzerOptions& options) {
-  SchemaAnalysis analysis(schema.num_classes());
-  analysis.tables = BuildPairTables(schema, options.tables);
+  SchemaAnalysis analysis(BuildPairTables(schema, options.tables));
   analysis.clusters = ComputeClusters(schema, analysis.tables);
   analysis.depends_on = BuildDependsOn(schema);
   ComputeEmptiness(schema, options.lint, &analysis);

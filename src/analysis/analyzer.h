@@ -1,6 +1,7 @@
 #ifndef CAR_ANALYSIS_ANALYZER_H_
 #define CAR_ANALYSIS_ANALYZER_H_
 
+#include <utility>
 #include <vector>
 
 #include "analysis/clusters.h"
@@ -37,7 +38,8 @@ struct AnalyzerOptions {
 ///  - relation_dead[r] == true implies relation r is empty in every
 ///    model (some role clause admits no tuple).
 struct SchemaAnalysis {
-  explicit SchemaAnalysis(int num_classes) : tables(num_classes) {}
+  explicit SchemaAnalysis(PairTables built_tables)
+      : tables(std::move(built_tables)) {}
 
   PairTables tables;
   ClusterPartition clusters;

@@ -1,24 +1,19 @@
 #include "analysis/pair_tables.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace car {
-
-void PairTables::EnsureSize() {
-  if (static_cast<int>(disjoint_.size()) < num_classes_) {
-    disjoint_.resize(num_classes_);
-    superclasses_.resize(num_classes_);
-  }
-}
 
 void PairTables::MarkDisjoint(ClassId a, ClassId b) {
   CAR_CHECK_GE(a, 0);
   CAR_CHECK_LT(a, num_classes_);
   CAR_CHECK_GE(b, 0);
   CAR_CHECK_LT(b, num_classes_);
-  EnsureSize();
-  if (disjoint_[a].insert(b).second) ++num_disjoint_pairs_;
-  disjoint_[b].insert(a);
+  if (!disjoint_bits_.Set(a, b)) return;
+  ++num_disjoint_pairs_;
+  disjoint_bits_.Set(b, a);
 }
 
 void PairTables::MarkIncluded(ClassId subclass, ClassId superclass) {
@@ -27,56 +22,36 @@ void PairTables::MarkIncluded(ClassId subclass, ClassId superclass) {
   CAR_CHECK_GE(superclass, 0);
   CAR_CHECK_LT(superclass, num_classes_);
   if (subclass == superclass) return;  // Reflexive inclusions are trivial.
-  EnsureSize();
-  if (superclasses_[subclass].insert(superclass).second) {
-    ++num_inclusion_pairs_;
-  }
+  if (!included_bits_.Set(subclass, superclass)) return;
+  ++num_inclusion_pairs_;
+  std::vector<ClassId>& row = superclasses_[subclass];
+  row.insert(std::upper_bound(row.begin(), row.end(), superclass),
+             superclass);
 }
 
-bool PairTables::AreDisjoint(ClassId a, ClassId b) const {
-  if (disjoint_.empty()) return false;
-  return disjoint_[a].count(b) > 0;
-}
-
-bool PairTables::IsIncluded(ClassId subclass, ClassId superclass) const {
-  if (superclasses_.empty()) return false;
-  return superclasses_[subclass].count(superclass) > 0;
-}
-
-const std::set<ClassId>& PairTables::SuperclassesOf(ClassId subclass) const {
-  static const std::set<ClassId>* empty = new std::set<ClassId>();
-  if (superclasses_.empty()) return *empty;
+const std::vector<ClassId>& PairTables::SuperclassesOf(
+    ClassId subclass) const {
   CAR_CHECK_GE(subclass, 0);
   CAR_CHECK_LT(subclass, num_classes_);
   return superclasses_[subclass];
 }
 
-const std::set<ClassId>& PairTables::DisjointFrom(ClassId class_id) const {
-  static const std::set<ClassId>* empty = new std::set<ClassId>();
-  if (disjoint_.empty()) return *empty;
-  CAR_CHECK_GE(class_id, 0);
-  CAR_CHECK_LT(class_id, num_classes_);
-  return disjoint_[class_id];
-}
-
 PairTables BuildPairTables(const Schema& schema,
                            const PairTableOptions& options) {
-  PairTables tables(schema.num_classes());
+  const int n = schema.num_classes();
+  PairTables tables(n);
 
   // Explicit entries from single-literal isa clauses.
-  for (ClassId c = 0; c < schema.num_classes(); ++c) {
+  for (ClassId c = 0; c < n; ++c) {
     const ClassDefinition& definition = schema.class_definition(c);
     for (const ClassClause& clause : definition.isa.clauses()) {
       if (clause.literals().size() != 1) continue;
       const ClassLiteral& literal = clause.literals()[0];
       if (literal.negated) {
-        if (literal.class_id == c) {
-          // C isa ¬C: C is empty in every model; record C disjoint from
-          // itself so enumeration drops every compound class containing C.
-          tables.MarkDisjoint(c, c);
-        } else {
-          tables.MarkDisjoint(c, literal.class_id);
-        }
+        // C isa ¬C (literal.class_id == c) records C disjoint from
+        // itself: C is empty in every model, so enumeration drops every
+        // compound class containing C.
+        tables.MarkDisjoint(c, literal.class_id);
       } else if (literal.class_id != c) {
         tables.MarkIncluded(c, literal.class_id);
       }
@@ -86,30 +61,42 @@ PairTables BuildPairTables(const Schema& schema,
   if (!options.propagate) return tables;
 
   // Sound propagation to a fixpoint. The rules only ever add entries, and
-  // the number of pairs is bounded by num_classes^2, so this terminates.
+  // the number of pairs is bounded by num_classes^2, so this terminates;
+  // the fixpoint does not depend on the order entries are found in.
+  // Each row word is read into a local before its bits are marked, and
+  // c's own superclass row is copied first: marking grows the rows being
+  // read (with D isa C and C isa ¬C, MarkDisjoint(D, C) adds D to C's
+  // disjointness row).
+  const int words = tables.included_bits().words_per_row();
+  std::vector<uint64_t> supers(words);
   bool changed = true;
   while (changed) {
     changed = false;
-    for (ClassId c = 0; c < schema.num_classes(); ++c) {
-      // Snapshot: the loops below mutate the tables.
-      std::vector<ClassId> supers(tables.SuperclassesOf(c).begin(),
-                                  tables.SuperclassesOf(c).end());
-      for (ClassId super : supers) {
-        // Transitivity of inclusion.
-        for (ClassId grand : tables.SuperclassesOf(super)) {
-          if (grand != c && !tables.IsIncluded(c, grand)) {
+    for (ClassId c = 0; c < n; ++c) {
+      const uint64_t* own_supers = tables.included_bits().row(c);
+      supers.assign(own_supers, own_supers + words);
+      ForEachSetBit(supers.data(), words, [&](ClassId super) {
+        const uint64_t* grand_row = tables.included_bits().row(super);
+        const uint64_t* enemy_row = tables.disjoint_bits().row(super);
+        for (int w = 0; w < words; ++w) {
+          // Transitivity of inclusion.
+          const uint64_t grands =
+              grand_row[w] & ~tables.included_bits().row(c)[w];
+          ForEachSetBit(&grands, 1, [&](int bit) {
+            const ClassId grand = w * 64 + bit;
+            if (grand == c) return;
             tables.MarkIncluded(c, grand);
             changed = true;
-          }
-        }
-        // Disjointness inherited through inclusion.
-        for (ClassId enemy : tables.DisjointFrom(super)) {
-          if (!tables.AreDisjoint(c, enemy)) {
-            tables.MarkDisjoint(c, enemy);
+          });
+          // Disjointness inherited through inclusion.
+          const uint64_t enemies =
+              enemy_row[w] & ~tables.disjoint_bits().row(c)[w];
+          ForEachSetBit(&enemies, 1, [&](int bit) {
+            tables.MarkDisjoint(c, w * 64 + bit);
             changed = true;
-          }
+          });
         }
-      }
+      });
     }
   }
   return tables;

@@ -33,8 +33,13 @@ namespace car {
 /// including the empty one).
 ///
 /// Only call on union-free schemas (checked; returns without changes
-/// otherwise). Mixed negation is fine — explicit disjointness in `tables`
-/// is kept and only ever grows.
+/// otherwise) that validate. Mixed negation is fine — explicit
+/// disjointness in `tables` is kept and only ever grows.
+///
+/// The contexts are bit rows of one matrix (a witness row per class, two
+/// filler rows per attribute, one row per relation role), each formula's
+/// positive single literals are one precomputed row, and the rules merge
+/// rows a word at a time until nothing grows.
 void CompleteDisjointnessUnionFree(const Schema& schema, PairTables* tables);
 
 }  // namespace car

@@ -1,6 +1,6 @@
 #include "model/schema.h"
 
-#include <set>
+#include <functional>
 #include <utility>
 
 #include "base/strings.h"
@@ -112,24 +112,43 @@ int Schema::MaxArity() const {
   return max_arity;
 }
 
-Status Schema::ValidateFormula(const ClassFormula& formula,
-                               std::string_view context) const {
+namespace {
+
+/// Checks every clause of `formula` against `num_classes`. `context`
+/// renders where the formula sits; it runs only once a check has failed,
+/// so a valid formula costs no string.
+template <typename Context>
+Status ValidateFormula(const ClassFormula& formula, int num_classes,
+                       const Context& context) {
   for (const ClassClause& clause : formula.clauses()) {
     if (clause.empty()) {
       return InvalidArgument(
-          StrCat("empty class-clause in ", context,
+          StrCat("empty class-clause in ", context(),
                  " (an empty disjunction is unsatisfiable by fiat; "
                  "write an explicit contradiction instead)"));
     }
     for (const ClassLiteral& literal : clause.literals()) {
-      if (literal.class_id < 0 || literal.class_id >= num_classes()) {
+      if (literal.class_id < 0 || literal.class_id >= num_classes) {
         return NotFound(StrCat("class id ", literal.class_id,
-                               " out of range in ", context));
+                               " out of range in ", context()));
       }
     }
   }
   return Status::Ok();
 }
+
+/// Whether `items[0, i)` holds an element equal to `items[i]` under
+/// `same`: the repeat checks scan a definition's few specs rather than
+/// fill a set.
+template <typename T, typename Same>
+bool RepeatsEarlier(const std::vector<T>& items, size_t i, const Same& same) {
+  for (size_t j = 0; j < i; ++j) {
+    if (same(items[j], items[i])) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 Status Schema::ValidateRoleOf(RelationId relation, RoleId role) const {
   if (relation < 0 || relation >= num_relations()) {
@@ -154,37 +173,47 @@ Status Schema::ValidateRoleOf(RelationId relation, RoleId role) const {
 Status Schema::Validate() const {
   for (const ClassDefinition& definition : class_definitions_) {
     const std::string& name = ClassName(definition.class_id);
-    CAR_RETURN_IF_ERROR(
-        ValidateFormula(definition.isa, StrCat("isa of class ", name)));
+    CAR_RETURN_IF_ERROR(ValidateFormula(definition.isa, num_classes(), [&] {
+      return StrCat("isa of class ", name);
+    }));
 
-    std::set<std::pair<AttributeId, bool>> seen_terms;
-    for (const AttributeSpec& spec : definition.attributes) {
+    const std::vector<AttributeSpec>& attributes = definition.attributes;
+    for (size_t i = 0; i < attributes.size(); ++i) {
+      const AttributeSpec& spec = attributes[i];
       if (spec.term.attribute < 0 || spec.term.attribute >= num_attributes()) {
         return NotFound(StrCat("attribute id ", spec.term.attribute,
                                " out of range in class ", name));
       }
-      if (!seen_terms.emplace(spec.term.attribute, spec.term.inverse)
-               .second) {
+      if (RepeatsEarlier(attributes, i,
+                         [](const AttributeSpec& a, const AttributeSpec& b) {
+                           return a.term == b.term;
+                         })) {
         return InvalidArgument(
             StrCat("attribute term '", spec.term.inverse ? "inv " : "",
                    AttributeName(spec.term.attribute),
                    "' appears twice in class ", name));
       }
-      CAR_RETURN_IF_ERROR(ValidateFormula(
-          spec.range, StrCat("range of attribute ",
-                             AttributeName(spec.term.attribute), " in class ",
-                             name)));
+      CAR_RETURN_IF_ERROR(ValidateFormula(spec.range, num_classes(), [&] {
+        return StrCat("range of attribute ",
+                      AttributeName(spec.term.attribute), " in class ", name);
+      }));
     }
 
-    std::set<std::pair<RelationId, RoleId>> seen_participations;
-    for (const ParticipationSpec& spec : definition.participations) {
+    const std::vector<ParticipationSpec>& participations =
+        definition.participations;
+    for (size_t i = 0; i < participations.size(); ++i) {
+      const ParticipationSpec& spec = participations[i];
       Status role_of = ValidateRoleOf(spec.relation, spec.role);
       if (!role_of.ok()) {
         return Status(role_of.code(),
                       StrCat(role_of.message(), " (participation in class ",
                              name, ")"));
       }
-      if (!seen_participations.emplace(spec.relation, spec.role).second) {
+      if (RepeatsEarlier(
+              participations, i,
+              [](const ParticipationSpec& a, const ParticipationSpec& b) {
+                return a.relation == b.relation && a.role == b.role;
+              })) {
         return InvalidArgument(StrCat(
             "participation ", RelationName(spec.relation), "[",
             RoleName(spec.role), "] appears twice in class ", name));
@@ -202,13 +231,14 @@ Status Schema::Validate() const {
       return InvalidArgument(
           StrCat("relation '", RelationName(id), "' has no roles"));
     }
-    std::set<RoleId> seen_roles;
-    for (RoleId role : definition->roles) {
+    const std::vector<RoleId>& roles = definition->roles;
+    for (size_t i = 0; i < roles.size(); ++i) {
+      const RoleId role = roles[i];
       if (role < 0 || role >= num_roles()) {
         return NotFound(StrCat("role id ", role, " out of range in relation ",
                                RelationName(id)));
       }
-      if (!seen_roles.insert(role).second) {
+      if (RepeatsEarlier(roles, i, std::equal_to<RoleId>())) {
         return InvalidArgument(StrCat("role '", RoleName(role),
                                       "' appears twice in relation ",
                                       RelationName(id)));
@@ -219,8 +249,8 @@ Status Schema::Validate() const {
         return InvalidArgument(StrCat("empty role-clause in relation ",
                                       RelationName(id)));
       }
-      std::set<RoleId> clause_roles;
-      for (const RoleLiteral& literal : clause.literals) {
+      for (size_t i = 0; i < clause.literals.size(); ++i) {
+        const RoleLiteral& literal = clause.literals[i];
         if (literal.role < 0 || literal.role >= num_roles()) {
           return NotFound(StrCat("role-clause of relation ", RelationName(id),
                                  " mentions role id ", literal.role,
@@ -231,15 +261,19 @@ Status Schema::Validate() const {
                                  " mentions role '", RoleName(literal.role),
                                  "' which is not a role of the relation"));
         }
-        if (!clause_roles.insert(literal.role).second) {
+        if (RepeatsEarlier(clause.literals, i,
+                           [](const RoleLiteral& a, const RoleLiteral& b) {
+                             return a.role == b.role;
+                           })) {
           return InvalidArgument(
               StrCat("role '", RoleName(literal.role),
                      "' appears twice in one role-clause of relation ",
                      RelationName(id)));
         }
-        CAR_RETURN_IF_ERROR(ValidateFormula(
-            literal.formula, StrCat("role-clause of relation ",
-                                    RelationName(id))));
+        CAR_RETURN_IF_ERROR(
+            ValidateFormula(literal.formula, num_classes(), [&] {
+              return StrCat("role-clause of relation ", RelationName(id));
+            }));
       }
     }
   }

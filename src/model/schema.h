@@ -93,7 +93,8 @@ class Schema {
   /// Checks structural well-formedness: unique attribute terms and
   /// participation targets per class definition, declared roles, distinct
   /// roles per relation and per role-clause, every relation defined, every
-  /// referenced symbol in range.
+  /// referenced symbol in range. Allocates nothing on success: an error's
+  /// message is built only once its check has failed.
   Status Validate() const;
 
   /// Renders a human-oriented summary (counts per category).
@@ -110,9 +111,6 @@ class Schema {
   // intern classes while a definition is being filled in).
   std::deque<ClassDefinition> class_definitions_;  // By ClassId.
   std::deque<std::optional<RelationDefinition>> relation_definitions_;
-
-  Status ValidateFormula(const ClassFormula& formula,
-                         std::string_view context) const;
 };
 
 }  // namespace car

@@ -1,13 +1,11 @@
 #include "reasoner/incremental.h"
 
 #include <algorithm>
-#include <set>
+#include <charconv>
 #include <utility>
 
 #include "analysis/subschema.h"
-#include "base/strings.h"
 #include "frontend/printer.h"
-#include "persist/snapshot_format.h"
 #include "reasoner/prefilter.h"
 #include "solver/solve.h"
 
@@ -44,53 +42,88 @@ IncrementalSession::IncrementalSession(const Schema* schema,
   FanOutToStages(&options_);
 }
 
+namespace {
+
+/// Appends the decimal text of `value`, byte for byte what streaming it
+/// into the key would produce.
+template <typename Int>
+void AppendDecimal(std::string* out, Int value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
+}
+
+void SortUnique(std::vector<std::string>* items) {
+  std::sort(items->begin(), items->end());
+  items->erase(std::unique(items->begin(), items->end()), items->end());
+}
+
+}  // namespace
+
 std::string IncrementalSession::CanonicalQueryKey(
     const ImplicationQuery& query) {
+  std::string key;
   switch (query.kind) {
     case ImplicationQuery::Kind::kIsa: {
       // C ⊑ F is a conjunction of clause checks, each a disjunction of
-      // literals: both levels are order- and duplication-insensitive.
-      std::set<std::string> clauses;
+      // literals: both levels are order- and duplication-insensitive, so
+      // each is sorted as strings and deduplicated.
+      std::vector<std::string> clauses;
+      clauses.reserve(query.formula.clauses().size());
+      std::vector<std::string> literals;
       for (const ClassClause& clause : query.formula.clauses()) {
-        std::set<std::string> literals;
+        literals.clear();
         for (const ClassLiteral& literal : clause.literals()) {
-          literals.insert(
-              StrCat(literal.negated ? "-" : "+", literal.class_id));
+          std::string& text =
+              literals.emplace_back(literal.negated ? "-" : "+");
+          AppendDecimal(&text, literal.class_id);
         }
-        std::string text;
+        SortUnique(&literals);
+        std::string& text = clauses.emplace_back();
         for (const std::string& entry : literals) {
-          if (!text.empty()) text += ",";
+          if (!text.empty()) text += ',';
           text += entry;
         }
-        clauses.insert(std::move(text));
       }
-      std::string key = StrCat("isa|", query.class_id, "|");
+      SortUnique(&clauses);
+      key = "isa|";
+      AppendDecimal(&key, query.class_id);
+      key += '|';
       for (const std::string& clause : clauses) {
         key += clause;
-        key += ";";
+        key += ';';
       }
       return key;
     }
-    case ImplicationQuery::Kind::kDisjoint: {
+    case ImplicationQuery::Kind::kDisjoint:
       // Disjointness is symmetric (answer and error behavior alike).
-      ClassId a = std::min(query.class_id, query.other);
-      ClassId b = std::max(query.class_id, query.other);
-      return StrCat("dis|", a, "|", b);
-    }
+      key = "dis|";
+      AppendDecimal(&key, std::min(query.class_id, query.other));
+      key += '|';
+      AppendDecimal(&key, std::max(query.class_id, query.other));
+      return key;
     case ImplicationQuery::Kind::kMinCardinality:
-      return StrCat("minc|", query.class_id, "|",
-                    query.term.inverse ? "~" : "", query.term.attribute, "|",
-                    query.bound);
     case ImplicationQuery::Kind::kMaxCardinality:
-      return StrCat("maxc|", query.class_id, "|",
-                    query.term.inverse ? "~" : "", query.term.attribute, "|",
-                    query.bound);
+      key = query.kind == ImplicationQuery::Kind::kMinCardinality ? "minc|"
+                                                                  : "maxc|";
+      AppendDecimal(&key, query.class_id);
+      key += query.term.inverse ? "|~" : "|";
+      AppendDecimal(&key, query.term.attribute);
+      key += '|';
+      AppendDecimal(&key, query.bound);
+      return key;
     case ImplicationQuery::Kind::kMinParticipation:
-      return StrCat("minp|", query.class_id, "|", query.relation, "|",
-                    query.role, "|", query.bound);
     case ImplicationQuery::Kind::kMaxParticipation:
-      return StrCat("maxp|", query.class_id, "|", query.relation, "|",
-                    query.role, "|", query.bound);
+      key = query.kind == ImplicationQuery::Kind::kMinParticipation ? "minp|"
+                                                                    : "maxp|";
+      AppendDecimal(&key, query.class_id);
+      key += '|';
+      AppendDecimal(&key, query.relation);
+      key += '|';
+      AppendDecimal(&key, query.role);
+      key += '|';
+      AppendDecimal(&key, query.bound);
+      return key;
   }
   return "invalid";
 }
@@ -394,8 +427,12 @@ uint64_t IncrementalSession::EstimatedMemoryBytes() const {
   constexpr uint64_t kPerTableauNonzero = 24;
   constexpr uint64_t kPerMemoEntry = 48;
   constexpr uint64_t kPerSchemaClass = 96;
+  // The session object and its fixed-size members, charged as a constant
+  // rather than sizeof(*this) so the estimate does not move with object
+  // layout or the standard library's container sizes.
+  constexpr uint64_t kPerSession = 4096;
 
-  uint64_t bytes = sizeof(*this);
+  uint64_t bytes = kPerSession;
   bytes += static_cast<uint64_t>(schema_->num_classes()) * kPerSchemaClass;
   if (base_expansion_.has_value()) {
     bytes += base_expansion_->compound_classes.size() * kPerCompoundClass;
@@ -468,6 +505,10 @@ Result<std::string> IncrementalSession::Serialize() {
 Status IncrementalSession::Deserialize(std::string_view bytes) {
   CAR_ASSIGN_OR_RETURN(persist::WarmSnapshot snapshot,
                        persist::DecodeSnapshot(bytes));
+  return Restore(std::move(snapshot));
+}
+
+Status IncrementalSession::Restore(persist::WarmSnapshot snapshot) {
   // The snapshot must have been built from exactly the borrowed schema:
   // the fingerprint covers the canonical printed form, the extents guard
   // the id spaces every section was validated against.

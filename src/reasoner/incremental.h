@@ -11,6 +11,7 @@
 
 #include "analysis/analyzer.h"
 #include "expansion/expansion_delta.h"
+#include "persist/snapshot_format.h"
 #include "reasoner/reasoner.h"
 #include "solver/incremental_psi.h"
 
@@ -174,7 +175,12 @@ class IncrementalSession {
   /// schedule-independent and the encoding is canonical.
   Result<std::string> Serialize();
 
-  /// Restores the warm state from Serialize() output. The snapshot's
+  /// Restores the warm state from Serialize() output: decodes it with
+  /// persist::DecodeSnapshot (its error on malformed bytes), then
+  /// Restore()s the result.
+  Status Deserialize(std::string_view bytes);
+
+  /// Restores the warm state from a decoded snapshot. The snapshot's
   /// SchemaFingerprint and extents must match the borrowed schema
   /// (kFailedPrecondition otherwise — the caller falls back to a cold
   /// build), the Ψ snapshot must pass ValidateSnapshotShape against the
@@ -183,7 +189,7 @@ class IncrementalSession {
   /// failure the session is left cold (not corrupted): the next query
   /// simply rebuilds from scratch. On success, subsequent answers are
   /// bit-identical to a never-persisted session's.
-  Status Deserialize(std::string_view bytes);
+  Status Restore(persist::WarmSnapshot snapshot);
 
   /// True when Serialize() can produce a faithful full-warm-state
   /// snapshot right now. Always true for eager sessions (Serialize

@@ -1,7 +1,7 @@
 #include "reasoner/query_text.h"
 
+#include <algorithm>
 #include <charconv>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -10,13 +10,27 @@
 
 namespace car {
 
-std::vector<std::string> TokenizeQueryLine(const std::string& line) {
-  std::istringstream stream(line);
+namespace {
+
+/// The whitespace bytes of the C locale, which stream extraction
+/// (`std::istream >> std::string`) skips and splits on.
+bool IsQuerySpace(char byte) {
+  return byte == ' ' || byte == '\t' || byte == '\n' || byte == '\v' ||
+         byte == '\f' || byte == '\r';
+}
+
+}  // namespace
+
+std::vector<std::string> TokenizeQueryLine(std::string_view line) {
   std::vector<std::string> tokens;
-  std::string token;
-  while (stream >> token) {
-    if (token[0] == '#') break;
-    tokens.push_back(std::move(token));
+  size_t pos = 0;
+  while (true) {
+    while (pos < line.size() && IsQuerySpace(line[pos])) ++pos;
+    if (pos == line.size()) break;
+    const size_t start = pos;
+    while (pos < line.size() && !IsQuerySpace(line[pos])) ++pos;
+    if (line[start] == '#') break;
+    tokens.emplace_back(line.substr(start, pos - start));
   }
   return tokens;
 }
@@ -100,9 +114,12 @@ Result<std::vector<ImplicationQuery>> ParseQueryText(
     const Schema& schema, std::string_view text,
     std::vector<std::string>* normalized_lines) {
   std::vector<ImplicationQuery> queries;
-  std::istringstream input{std::string(text)};
-  std::string line;
-  while (std::getline(input, line)) {
+  // Lines as std::getline splits them: on '\n', with no empty line after
+  // a final '\n'.
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     std::vector<std::string> tokens = TokenizeQueryLine(line);
     if (tokens.empty()) continue;
     auto query = ParseQueryTokens(schema, tokens);

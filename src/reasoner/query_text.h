@@ -25,10 +25,11 @@ namespace car {
 /// `att` may be `inv:att` for the inverse term. `#` starts a comment;
 /// blank and comment-only lines are skipped by the file-level parser.
 
-/// Splits one line into whitespace-separated tokens, dropping everything
+/// Splits one line into tokens separated by runs of the C locale's
+/// whitespace bytes (space, \t, \n, \v, \f, \r), dropping everything
 /// from the first token that starts with '#'. An empty result means the
 /// line carries no query (blank or comment-only).
-std::vector<std::string> TokenizeQueryLine(const std::string& line);
+std::vector<std::string> TokenizeQueryLine(std::string_view line);
 
 /// Parses one tokenized query, resolving names against the schema.
 /// `tokens` must be non-empty.

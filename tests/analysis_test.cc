@@ -77,7 +77,7 @@ TEST(PairTablesTest, AccessorsForUnknownTablesAreEmpty) {
   EXPECT_FALSE(tables.AreDisjoint(0, 1));
   EXPECT_FALSE(tables.IsIncluded(0, 1));
   EXPECT_TRUE(tables.SuperclassesOf(0).empty());
-  EXPECT_TRUE(tables.DisjointFrom(2).empty());
+  for (ClassId c = 0; c < 3; ++c) EXPECT_FALSE(tables.AreDisjoint(2, c));
 }
 
 TEST(ClustersTest, EmptySchemaHasNoClusters) {

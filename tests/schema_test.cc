@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "base/strings.h"
 #include "model/builder.h"
@@ -245,6 +247,273 @@ TEST(CardinalityTest, IntersectIsUmaxVmin) {
 TEST(CardinalityTest, ToStringRendersInfinity) {
   EXPECT_EQ(Cardinality(1, 2).ToString(), "(1, 2)");
   EXPECT_EQ(Cardinality::AtLeast(1).ToString(), "(1, *)");
+}
+
+/// The base of every Validate case: class C (id 0) and D (id 1),
+/// attribute a, roles u (id 0) and v (id 1), and relation R over u with
+/// no constraints. It validates; each case breaks one thing.
+struct ValidateFixture {
+  Schema schema;
+  ClassId c, d;
+  AttributeId a;
+  RoleId u, v;
+  RelationId r;
+
+  ValidateFixture() {
+    c = schema.InternClass("C");
+    d = schema.InternClass("D");
+    a = schema.InternAttribute("a");
+    u = schema.InternRole("u");
+    v = schema.InternRole("v");
+    r = schema.InternRelation("R");
+  }
+  ClassDefinition* Class() { return schema.mutable_class_definition(c); }
+  AttributeSpec Spec(AttributeTerm term, ClassFormula range) const {
+    AttributeSpec spec;
+    spec.term = term;
+    spec.range = std::move(range);
+    return spec;
+  }
+  ParticipationSpec Part(RelationId relation, RoleId role) const {
+    ParticipationSpec spec;
+    spec.relation = relation;
+    spec.role = role;
+    return spec;
+  }
+  RoleLiteral Lit(RoleId role, ClassFormula formula) const {
+    RoleLiteral literal;
+    literal.role = role;
+    literal.formula = std::move(formula);
+    return literal;
+  }
+  /// Defines R over `roles` with `constraints`.
+  void DefineR(std::vector<RoleId> roles,
+               std::vector<RoleClause> constraints = {}) {
+    RelationDefinition definition;
+    definition.relation_id = r;
+    definition.roles = std::move(roles);
+    definition.constraints = std::move(constraints);
+    CAR_CHECK(schema.SetRelationDefinition(std::move(definition)).ok());
+  }
+};
+
+const char kEmptyClauseTail[] =
+    " (an empty disjunction is unsatisfiable by fiat; write an explicit "
+    "contradiction instead)";
+
+TEST(SchemaValidateTest, EveryErrorBranchKeepsItsCodeAndMessage) {
+  struct Case {
+    const char* name;
+    std::function<void(ValidateFixture*)> mutate;
+    StatusCode code;
+    std::string message;
+  };
+  const ClassFormula empty_clause({ClassClause()});
+  const std::vector<Case> cases = {
+      {"valid", [](ValidateFixture* f) { f->DefineR({f->u}); },
+       StatusCode::kOk, ""},
+      {"empty isa clause",
+       [&](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->isa = empty_clause;
+       },
+       StatusCode::kInvalidArgument,
+       StrCat("empty class-clause in isa of class C", kEmptyClauseTail)},
+      {"isa class out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->isa = ClassFormula::OfNegatedClass(5);
+       },
+       StatusCode::kNotFound, "class id 5 out of range in isa of class C"},
+      {"isa class negative",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->isa = ClassFormula::OfClass(-1);
+       },
+       StatusCode::kNotFound, "class id -1 out of range in isa of class C"},
+      {"empty range clause",
+       [&](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Inverse(f->a), empty_clause));
+       },
+       StatusCode::kInvalidArgument,
+       StrCat("empty class-clause in range of attribute a in class C",
+              kEmptyClauseTail)},
+      {"range class out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(f->Spec(
+             AttributeTerm::Direct(f->a), ClassFormula::OfClass(9)));
+       },
+       StatusCode::kNotFound,
+       "class id 9 out of range in range of attribute a in class C"},
+      {"attribute id out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Direct(3), ClassFormula::True()));
+       },
+       StatusCode::kNotFound, "attribute id 3 out of range in class C"},
+      {"attribute id negative",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Inverse(-2), ClassFormula::True()));
+       },
+       StatusCode::kNotFound, "attribute id -2 out of range in class C"},
+      {"repeated attribute term",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Direct(f->a), ClassFormula::True()));
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Inverse(f->a), ClassFormula::True()));
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Direct(f->a), ClassFormula::True()));
+       },
+       StatusCode::kInvalidArgument,
+       "attribute term 'a' appears twice in class C"},
+      {"repeated inverse attribute term",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Inverse(f->a), ClassFormula::True()));
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Inverse(f->a), ClassFormula::True()));
+       },
+       StatusCode::kInvalidArgument,
+       "attribute term 'inv a' appears twice in class C"},
+      {"bad range reported before a later repeated term",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(f->Spec(
+             AttributeTerm::Direct(f->a), ClassFormula::OfClass(7)));
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Direct(f->a), ClassFormula::True()));
+       },
+       StatusCode::kNotFound,
+       "class id 7 out of range in range of attribute a in class C"},
+      {"repeated term reported before its own bad range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->attributes.push_back(
+             f->Spec(AttributeTerm::Direct(f->a), ClassFormula::True()));
+         f->Class()->attributes.push_back(f->Spec(
+             AttributeTerm::Direct(f->a), ClassFormula::OfClass(7)));
+       },
+       StatusCode::kInvalidArgument,
+       "attribute term 'a' appears twice in class C"},
+      {"participation relation out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->participations.push_back(f->Part(4, f->u));
+       },
+       StatusCode::kNotFound,
+       "relation id 4 out of range (participation in class C)"},
+      {"participation in an undefined relation",
+       [](ValidateFixture* f) {
+         f->schema.mutable_class_definition(f->d)->participations.push_back(
+             f->Part(f->r, f->u));
+       },
+       StatusCode::kFailedPrecondition,
+       "relation 'R' is never defined (participation in class D)"},
+      {"participation role out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->participations.push_back(f->Part(f->r, 9));
+       },
+       StatusCode::kNotFound,
+       "role id 9 out of range (participation in class C)"},
+      {"participation role of another relation",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u});
+         f->Class()->participations.push_back(f->Part(f->r, f->v));
+       },
+       StatusCode::kNotFound,
+       "role 'v' is not a role of relation 'R' (participation in class C)"},
+      {"repeated participation",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u, f->v});
+         f->Class()->participations.push_back(f->Part(f->r, f->u));
+         f->Class()->participations.push_back(f->Part(f->r, f->v));
+         f->Class()->participations.push_back(f->Part(f->r, f->u));
+       },
+       StatusCode::kInvalidArgument,
+       "participation R[u] appears twice in class C"},
+      {"class errors come before relation errors",
+       [](ValidateFixture* f) {
+         f->schema.mutable_class_definition(f->d)->isa =
+             ClassFormula::OfClass(6);
+       },
+       StatusCode::kNotFound, "class id 6 out of range in isa of class D"},
+      {"undefined relation",
+       [](ValidateFixture*) {},
+       StatusCode::kFailedPrecondition, "relation 'R' is never defined"},
+      {"relation without roles",
+       [](ValidateFixture* f) { f->DefineR({}); },
+       StatusCode::kInvalidArgument, "relation 'R' has no roles"},
+      {"relation role out of range",
+       [](ValidateFixture* f) { f->DefineR({f->u, 5}); },
+       StatusCode::kNotFound, "role id 5 out of range in relation R"},
+      {"relation role repeated",
+       [](ValidateFixture* f) { f->DefineR({f->v, f->u, f->v}); },
+       StatusCode::kInvalidArgument, "role 'v' appears twice in relation R"},
+      {"empty role-clause",
+       [](ValidateFixture* f) { f->DefineR({f->u}, {RoleClause{}}); },
+       StatusCode::kInvalidArgument, "empty role-clause in relation R"},
+      {"role-clause role out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u}, {RoleClause{{f->Lit(8, ClassFormula::True())}}});
+       },
+       StatusCode::kNotFound,
+       "role-clause of relation R mentions role id 8 out of range"},
+      {"role-clause role not the relation's",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u},
+                    {RoleClause{{f->Lit(f->v, ClassFormula::True())}}});
+       },
+       StatusCode::kNotFound,
+       "role-clause of relation R mentions role 'v' which is not a role of "
+       "the relation"},
+      {"role repeated in one role-clause",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u, f->v},
+                    {RoleClause{{f->Lit(f->u, ClassFormula::True()),
+                                 f->Lit(f->v, ClassFormula::True()),
+                                 f->Lit(f->u, ClassFormula::True())}}});
+       },
+       StatusCode::kInvalidArgument,
+       "role 'u' appears twice in one role-clause of relation R"},
+      {"same role in two role-clauses is fine",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u, f->v},
+                    {RoleClause{{f->Lit(f->u, ClassFormula::True())}},
+                     RoleClause{{f->Lit(f->u, ClassFormula::True())}}});
+       },
+       StatusCode::kOk, ""},
+      {"empty clause in a role-clause formula",
+       [&](ValidateFixture* f) {
+         f->DefineR({f->u}, {RoleClause{{f->Lit(f->u, empty_clause)}}});
+       },
+       StatusCode::kInvalidArgument,
+       StrCat("empty class-clause in role-clause of relation R",
+              kEmptyClauseTail)},
+      {"role-clause formula class out of range",
+       [](ValidateFixture* f) {
+         f->DefineR({f->u}, {RoleClause{{f->Lit(
+                                f->u, ClassFormula::OfNegatedClass(2))}}});
+       },
+       StatusCode::kNotFound,
+       "class id 2 out of range in role-clause of relation R"},
+  };
+  for (const Case& test_case : cases) {
+    ValidateFixture fixture;
+    test_case.mutate(&fixture);
+    Status status = fixture.schema.Validate();
+    EXPECT_EQ(status.code(), test_case.code) << test_case.name;
+    EXPECT_EQ(status.message(), test_case.message) << test_case.name;
+  }
 }
 
 }  // namespace

@@ -546,6 +546,25 @@ int SnapshotSave(Schema& schema, const std::string& dir) {
   return kExitSat;
 }
 
+/// What `snapshot load` and `snapshot verify` report of a decoded
+/// snapshot once it has restored.
+struct SnapshotCounts {
+  size_t compound_classes = 0;
+  bool has_psi = false;
+  size_t memo_entries = 0;
+};
+
+SnapshotCounts CountsOf(const persist::WarmSnapshot& snapshot) {
+  return {snapshot.expansion.compound_classes.size(), snapshot.has_psi,
+          snapshot.memo.size()};
+}
+
+std::ostream& operator<<(std::ostream& out, const SnapshotCounts& counts) {
+  return out << counts.compound_classes << " compound class(es), "
+             << (counts.has_psi ? "solved psi snapshot" : "no psi") << ", "
+             << counts.memo_entries << " memoized answer(s)";
+}
+
 /// `snapshot load <file> <dir>`: restores --tenant's snapshot against
 /// the live schema and reports what came back; with --queries, answers
 /// the batch on the restored (warm) session.
@@ -561,20 +580,21 @@ int SnapshotLoad(Schema& schema, const std::string& dir) {
     std::cerr << "snapshot load: " << bytes.status() << "\n";
     return kExitError;
   }
+  // One decode: the counts printed below are read before Restore takes
+  // the snapshot.
+  auto decoded = persist::DecodeSnapshot(*bytes);
+  if (!decoded.ok()) {
+    std::cerr << "snapshot restore: " << decoded.status() << "\n";
+    return kExitError;
+  }
+  const SnapshotCounts counts = CountsOf(*decoded);
   IncrementalSession session(&schema, MakeReasonerOptions());
-  Status restored = session.Deserialize(*bytes);
+  Status restored = session.Restore(std::move(decoded).value());
   if (!restored.ok()) {
     std::cerr << "snapshot restore: " << restored << "\n";
     return kExitError;
   }
-  auto decoded = persist::DecodeSnapshot(*bytes);
-  if (decoded.ok()) {  // Always succeeds after a successful restore.
-    std::cout << "restored tenant '" << g_tenant << "': "
-              << decoded->expansion.compound_classes.size()
-              << " compound class(es), "
-              << (decoded->has_psi ? "solved psi snapshot" : "no psi")
-              << ", " << decoded->memo.size() << " memoized answer(s)\n";
-  }
+  std::cout << "restored tenant '" << g_tenant << "': " << counts << "\n";
   if (!g_queries_path.empty()) {
     std::vector<std::string> lines;
     auto queries = LoadQueryFile(schema, &lines);
@@ -630,17 +650,14 @@ int SnapshotVerify(Schema& schema, const std::string& dir) {
     std::cout << "STALE: snapshot was built for a different schema\n";
     return kExitError;
   }
+  const SnapshotCounts counts = CountsOf(*decoded);
   IncrementalSession session(&schema, MakeReasonerOptions());
-  Status restored = session.Deserialize(bytes);
+  Status restored = session.Restore(std::move(decoded).value());
   if (!restored.ok()) {
     std::cout << "UNRESTORABLE: " << restored.message() << "\n";
     return kExitError;
   }
-  std::cout << "OK: " << bytes.size() << " byte(s), "
-            << decoded->expansion.compound_classes.size()
-            << " compound class(es), "
-            << (decoded->has_psi ? "solved psi snapshot" : "no psi") << ", "
-            << decoded->memo.size() << " memoized answer(s)\n";
+  std::cout << "OK: " << bytes.size() << " byte(s), " << counts << "\n";
   return kExitSat;
 }
 
